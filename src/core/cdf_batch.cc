@@ -1,8 +1,5 @@
 #include "core/cdf_batch.h"
 
-#include "core/simd.h"
-#include "core/simd_kernels.h"
-
 namespace pverify {
 
 void CdfAcrossCandidates(const CandidateSet& cands, double r, double* out) {
@@ -12,23 +9,15 @@ void CdfAcrossCandidates(const CandidateSet& cands, double r, double* out) {
   }
 }
 
-double NnProductIntegrand(const CandidateSet& cands, size_t i, double r,
-                          double* row) {
+double NnProductIntegrand(const CandidateSet& cands, size_t i, double r) {
   double v = cands[i].dist.Density(r);
   if (v == 0.0) return 0.0;
-  if (!SimdKernelsEnabled()) {
-    // Seed reference, verbatim (including the early break).
-    for (size_t k = 0; k < cands.size(); ++k) {
-      if (k == i) continue;
-      v *= 1.0 - cands[k].dist.Cdf(r);
-      if (v == 0.0) break;
-    }
-    return v;
+  for (size_t k = 0; k < cands.size(); ++k) {
+    if (k == i) continue;
+    v *= 1.0 - cands[k].dist.Cdf(r);
+    if (v == 0.0) break;
   }
-  // Gather-then-product: all factors are in [0, 1], so skipping the early
-  // break cannot overflow — a zero factor still zeroes the product.
-  CdfAcrossCandidates(cands, r, row);
-  return v * ActiveKernels().product_one_minus_excluding(row, cands.size(), i);
+  return v;
 }
 
 }  // namespace pverify

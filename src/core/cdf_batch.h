@@ -1,13 +1,9 @@
-// Batched distance-cdf evaluation across a candidate set.
+// Distance-cdf evaluation across a candidate set.
 //
 // The exact-integration paths (basic.cc, refine.cc, knn.cc) all evaluate
-// Π_{k≠i} (1 − D_k(r)) inside their integrands — a strided walk that calls
-// one binary-searched Cdf per candidate per quadrature point. The helpers
-// here restructure that into gather-then-product: fill a contiguous row of
-// D_k(r) values, then run the vectorizable product kernel from the flavor
-// table (core/simd_kernels.h). The scalar seed loop is kept verbatim behind
-// SimdKernelsEnabled(), preserving the repo-wide contract that disabling
-// the SIMD kernels reproduces the seed bit for bit.
+// Π_{k≠i} (1 − D_k(r)) inside their integrands; NnProductIntegrand is that
+// integrand, and CdfAcrossCandidates gathers one D_k(r) per candidate into
+// a contiguous row (the k-NN RS bound reads it that way).
 #ifndef PVERIFY_CORE_CDF_BATCH_H_
 #define PVERIFY_CORE_CDF_BATCH_H_
 
@@ -17,18 +13,12 @@
 
 namespace pverify {
 
-/// Gathers out[k] = D_k(r) for every candidate (the excluded index, if any,
-/// is handled by the consumer). Same Cdf calls in the same order as the
-/// strided loops this replaces — bit-identical values.
+/// Gathers out[k] = D_k(r) for every candidate, in candidate order.
 void CdfAcrossCandidates(const CandidateSet& cands, double r, double* out);
 
-/// The NN integrand d_i(r) · Π_{k≠i} (1 − D_k(r)) (paper Eq. 2). `row` must
-/// hold cands.size() doubles of scratch. With SIMD kernels disabled this
-/// runs the seed's early-breaking scalar loop verbatim; enabled, it gathers
-/// the cdf row and applies the active flavor's product kernel (a product
-/// reduction — may reassociate, a few ULP).
-double NnProductIntegrand(const CandidateSet& cands, size_t i, double r,
-                          double* row);
+/// The NN integrand d_i(r) · Π_{k≠i} (1 − D_k(r)) (paper Eq. 2), breaking
+/// out of the product as soon as it reaches zero.
+double NnProductIntegrand(const CandidateSet& cands, size_t i, double r);
 
 }  // namespace pverify
 

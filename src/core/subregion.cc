@@ -5,17 +5,8 @@
 
 #include "common/check.h"
 #include "common/piecewise.h"
-#include "core/simd.h"
-#include "core/simd_kernels.h"
 
 namespace pverify {
-
-// The kernel TU mirrors these constants locally (it must stay header-free;
-// see simd_kernels.h). Pin them together so a drift breaks the build.
-static_assert(simdkern::kMassEps == SubregionTable::kEps,
-              "simdkern::kMassEps out of sync with SubregionTable::kEps");
-static_assert(simdkern::kDivideOutMin == 1e-8,
-              "simdkern::kDivideOutMin out of sync with DivideOutSafe");
 
 SubregionTable SubregionTable::Build(const CandidateSet& candidates) {
   SubregionTable table;
@@ -74,8 +65,7 @@ void SubregionTable::BuildInto(const CandidateSet& candidates,
     // endpoints_ is sorted, so one merge-scan over the distance pdf's
     // pieces fills the whole row in O(pieces + M) — no per-point binary
     // searches, bit-identical to the pointwise Cdf loop it replaces (see
-    // StepFunction::IntegralToSorted), hence unconditional in both kernel
-    // flavors.
+    // StepFunction::IntegralToSorted).
     dist.CdfSorted(table.endpoints_.data(), m + 1, cdf_row);
     for (size_t j = 0; j < m; ++j) {
       double sij = cdf_row[j + 1] - cdf_row[j];
@@ -87,14 +77,11 @@ void SubregionTable::BuildInto(const CandidateSet& candidates,
 
   // Y_j product, candidate-outer so the inner loop streams one contiguous
   // cdf row. Per j this multiplies the same factors in the same (k-)order
-  // as the subregion-outer formulation, so the result is bit-identical;
-  // the lanes are independent, so the kernel is too (multiarch builds run
-  // it at the host's widest ISA via the flavor table).
+  // as the subregion-outer formulation, so the result is bit-identical.
   double* y = table.y_.data();
-  const simdkern::KernelTable& kern = ActiveKernels();
   for (size_t k = 0; k < n; ++k) {
     const double* cdf_row = table.cdf_.data() + k * table.cdf_stride_;
-    kern.multiply_one_minus_into(y, cdf_row, m + 1);
+    for (size_t j = 0; j <= m; ++j) y[j] *= 1.0 - cdf_row[j];
   }
 }
 
@@ -102,7 +89,7 @@ double SubregionTable::ProductExcluding(size_t i, size_t j) const {
   PV_DCHECK(i < n_ && j <= m_);
   const double di = cdf(i, j);
   const double factor = 1.0 - di;
-  if (DivideOutSafe(factor, y_[j])) {
+  if (factor > 1e-8 && y_[j] > 0.0) {
     return std::min(1.0, y_[j] / factor);
   }
   // Fallback: i's factor is ~0 (or Y_j underflowed); recompute directly.

@@ -10,9 +10,7 @@
 // Like SubregionTable, the context stores q_ij.l / q_ij.u as row-major SoA:
 // one cache-line-aligned padded row per candidate, with the row stride
 // computed once at Reset() rather than re-derived per access. The bound
-// recomputation (Eq. 4) runs as a batched kernel over those rows, in a
-// scalar reference flavor and a vectorized flavor selected at runtime (see
-// core/simd.h).
+// recomputation (Eq. 4) streams over those rows.
 #ifndef PVERIFY_CORE_VERIFIER_H_
 #define PVERIFY_CORE_VERIFIER_H_
 
@@ -52,8 +50,6 @@ struct VerificationContext {
     // The rightmost subregion carries zero qualification probability
     // (paper: "the probability of any object in S_M must be zero").
     for (size_t i = 0; i < n; ++i) qup[i * stride_ + (m - 1)] = 0.0;
-    // Pr(E)-product workspace for the U-SR kernel (one row, not n×M).
-    prod.assign(PadStride<double>(m + 1), 0.0);
   }
 
   double& QLow(size_t i, size_t j) { return qlow[i * stride_ + j]; }
@@ -62,14 +58,9 @@ struct VerificationContext {
   double QUp(size_t i, size_t j) const { return qup[i * stride_ + j]; }
 
   /// Candidate i's contiguous per-subregion bound rows (padded; see
-  /// common/aligned.h). The kernels' unit-stride access path.
+  /// common/aligned.h).
   double* QLowRow(size_t i) { return qlow.data() + i * stride_; }
   double* QUpRow(size_t i) { return qup.data() + i * stride_; }
-  const double* QLowRow(size_t i) const { return qlow.data() + i * stride_; }
-  const double* QUpRow(size_t i) const { return qup.data() + i * stride_; }
-
-  /// Padded length of each q-bound row.
-  size_t stride() const { return stride_; }
 
   /// Recomputes candidate i's probability bound from the per-subregion
   /// bounds (Eq. 4 and its upper-bound analogue) and tightens it.
@@ -85,7 +76,6 @@ struct VerificationContext {
   const SubregionTable* table = nullptr;  // not owned
   AlignedVector<double> qlow;  // n rows × stride(): q_ij.l, logical width M
   AlignedVector<double> qup;   // n rows × stride(): q_ij.u, logical width M
-  AlignedVector<double> prod;  // one row: Π_{k≠i}(1−D_k(e_j)) workspace
 
  private:
   size_t stride_ = 0;

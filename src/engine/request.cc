@@ -1,8 +1,19 @@
 #include "engine/request.h"
 
+#include <cmath>
+#include <type_traits>
+
 #include "common/check.h"
 
 namespace pverify {
+namespace {
+
+bool IsFinite(double q) { return std::isfinite(q); }
+bool IsFinite(const Point2& q) {
+  return std::isfinite(q.x) && std::isfinite(q.y);
+}
+
+}  // namespace
 
 std::string_view ToString(QueryKind kind) {
   switch (kind) {
@@ -43,6 +54,20 @@ const QueryOptions& QueryRequest::options() const {
         return payload.options;
       },
       query);
+}
+
+void CheckFiniteQueryPoint(const QueryRequest& request) {
+  std::visit(
+      [](const auto& payload) {
+        using T = std::decay_t<decltype(payload)>;
+        if constexpr (std::is_same_v<T, PointQuery> ||
+                      std::is_same_v<T, KnnQuery> ||
+                      std::is_same_v<T, Point2DQuery> ||
+                      std::is_same_v<T, Knn2DQuery>) {
+          PV_CHECK_MSG(IsFinite(payload.q), "query point must be finite");
+        }
+      },
+      request.query);
 }
 
 QueryResult ToQueryResult(QueryAnswer&& answer) {

@@ -183,6 +183,14 @@ struct QueryResult {
   std::optional<CknnAnswer> knn;
 };
 
+/// Rejects a request whose query point is not finite: a NaN or infinite q
+/// (PointQuery, KnnQuery) or x/y (Point2DQuery, Knn2DQuery). Every dataset
+/// has a nearest neighbour of a finite point and none of a non-finite one,
+/// so such a request is a caller error. Throws std::logic_error, the same
+/// way CpnnParams::Validate rejects P outside (0, 1]; the engines run it as
+/// a request enters them, so the cache and the server inherit it.
+void CheckFiniteQueryPoint(const QueryRequest& request);
+
 /// Repackages a core QueryAnswer as an engine QueryResult.
 QueryResult ToQueryResult(QueryAnswer&& answer);
 

@@ -27,8 +27,7 @@ namespace pverify {
 namespace net {
 
 /// One server reply. `ok` distinguishes a result from a request-level
-/// error frame (whose typed code and message land in `code`/`error`;
-/// frames from a v1 server always decode as kGeneric).
+/// error frame (whose typed code and message land in `code`/`error`).
 struct ServeResponse {
   uint64_t request_id = 0;
   bool ok = false;

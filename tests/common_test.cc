@@ -1,6 +1,8 @@
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -10,6 +12,7 @@
 #include "common/csv.h"
 #include "common/rng.h"
 #include "common/timer.h"
+#include "ulp_testutil.h"
 
 namespace pverify {
 namespace {
@@ -144,6 +147,23 @@ TEST(FormatDoubleTest, FixedPrecision) {
   EXPECT_EQ(FormatDouble(1.0, 3), "1.000");
   EXPECT_EQ(FormatDouble(0.12349, 3), "0.123");
   EXPECT_EQ(FormatDouble(-2.5, 1), "-2.5");
+}
+
+// The ULP helper behind the differential harness: keys order correctly
+// around zero and the distance is symmetric, zero on equality, and huge
+// for NaN.
+TEST(UlpDistanceTest, Basics) {
+  using testutil::UlpDistance;
+  EXPECT_EQ(UlpDistance(1.0, 1.0), 0u);
+  EXPECT_EQ(UlpDistance(0.0, -0.0), 0u);
+  const double next = std::nextafter(1.0, 2.0);
+  EXPECT_EQ(UlpDistance(1.0, next), 1u);
+  EXPECT_EQ(UlpDistance(next, 1.0), 1u);
+  EXPECT_EQ(UlpDistance(-1.0, std::nextafter(-1.0, -2.0)), 1u);
+  EXPECT_EQ(UlpDistance(0.0, std::numeric_limits<double>::denorm_min()), 1u);
+  EXPECT_GT(UlpDistance(1.0, 1.0 + 1e-9), 1000000u);
+  EXPECT_EQ(UlpDistance(std::numeric_limits<double>::quiet_NaN(), 1.0),
+            std::numeric_limits<uint64_t>::max());
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 // (default 0, i.e. bit-identical) via tests/ulp_testutil.h.
 //
 // The Engine contract says answers must not depend on the implementation:
-// unsharded vs. sharded 1/2/4-way, hash vs. range policy, global-queue vs.
-// work-stealing pool, cached vs. uncached — only scheduling may differ.
+// unsharded vs. sharded 1/2/4-way, hash vs. range policy, one worker vs.
+// many, cached vs. uncached — only scheduling may differ.
 // This header is that contract as a reusable assertion. Tests build a
 // stream of request FACTORIES (requests are move-only, so each engine and
 // each round rebuilds its own), hand the harness a reference and a list of
@@ -50,8 +50,7 @@ struct DifferentialConfig {
   /// covering the coalescing dispatcher path.
   bool exercise_submit = false;
   /// Probability-bound tolerance in units in the last place. 0 demands
-  /// bit-identical bounds (the default contract); SIMD-reassociated
-  /// configurations may pass a small budget.
+  /// bit-identical bounds (the default contract).
   uint64_t max_ulps = 0;
 };
 

@@ -241,8 +241,7 @@ TEST(NetRobustnessTest, ExpiredDeadlineNeverReachesTheEngine) {
   ASSERT_EQ(frame.header.type, net::MessageType::kError);
   EXPECT_EQ(frame.header.request_id, 7u);
   net::WireReader reader(frame.body.data(), frame.body.size());
-  net::DecodedError err = net::DecodeErrorBody(frame.header.version, reader,
-                                               net::kDefaultMaxBodyBytes);
+  net::DecodedError err = net::DecodeErrorBody(reader, net::kDefaultMaxBodyBytes);
   EXPECT_EQ(err.code, net::ErrorCode::kDeadlineExceeded);
   EXPECT_EQ(engine.PendingCount(), 0u);
   EXPECT_EQ(server.stats().deadline_expirations, 1u);
@@ -407,8 +406,7 @@ TEST(NetRobustnessTest, OversizedFrameAnsweredTooLargeThenClosed) {
   ASSERT_TRUE(net::ReceiveFrame(sock, net::kDefaultMaxBodyBytes, &frame));
   ASSERT_EQ(frame.header.type, net::MessageType::kError);
   net::WireReader reader(frame.body.data(), frame.body.size());
-  net::DecodedError err = net::DecodeErrorBody(frame.header.version, reader,
-                                               net::kDefaultMaxBodyBytes);
+  net::DecodedError err = net::DecodeErrorBody(reader, net::kDefaultMaxBodyBytes);
   EXPECT_EQ(err.code, net::ErrorCode::kTooLarge);
 
   // And then the connection is closed — the cap violation is fatal to the
@@ -419,32 +417,51 @@ TEST(NetRobustnessTest, OversizedFrameAnsweredTooLargeThenClosed) {
   server.Stop();
 }
 
-TEST(NetRobustnessTest, Version1FramesStillRoundTrip) {
+// One wire version is spoken. A version-1 header is answered with the
+// typed kProtocol error naming the unsupported version and its connection
+// is closed, while the server keeps serving every other connection.
+TEST(NetRobustnessTest, Version1HeaderGetsUnsupportedVersionError) {
   Dataset data = TestDataset();
   QueryEngine local(data, EngineOptions{});
   QueryEngine served(std::move(data), EngineOptions{});
   net::Server server(served);
   server.Start();
+  net::Client bystander = net::Client::Connect(kLoopback, server.port());
 
-  // A v1 peer: no extension block, no checksum trailer. The server must
-  // decode the request and answer in kind — a v1 response frame.
   net::Socket sock = net::ConnectTcp(kLoopback, server.port());
   net::WireWriter body;
   net::EncodeRequest(MakePoint(250.0), body);
-  net::SendFrameOn(sock, net::MessageType::kRequest, /*request_id=*/3, body,
-                   /*version=*/1);
+  uint8_t header[net::kFrameHeaderBytes];
+  net::EncodeFrameHeader(net::MessageType::kRequest, /*request_id=*/3,
+                         static_cast<uint32_t>(body.size()), header);
+  header[4] = 1;  // little-endian version field: a version-1 peer
+  header[5] = 0;
+  sock.WriteAll(header, sizeof(header));
+  sock.WriteAll(body.bytes().data(), body.size());
 
   net::ReceivedFrame frame;
   ASSERT_TRUE(net::ReceiveFrame(sock, net::kDefaultMaxBodyBytes, &frame));
-  EXPECT_EQ(frame.header.version, 1u);
-  ASSERT_EQ(frame.header.type, net::MessageType::kResponse);
-  EXPECT_EQ(frame.header.request_id, 3u);
+  ASSERT_EQ(frame.header.type, net::MessageType::kError);
   net::WireReader reader(frame.body.data(), frame.body.size());
-  QueryResult remote = net::DecodeResult(reader);
-  reader.ExpectEnd();
+  net::DecodedError err =
+      net::DecodeErrorBody(reader, net::kDefaultMaxBodyBytes);
+  EXPECT_EQ(err.code, net::ErrorCode::kProtocol);
+  EXPECT_NE(err.message.find("unsupported protocol version 1"),
+            std::string::npos)
+      << err.message;
+  uint8_t byte = 0;
+  EXPECT_FALSE(sock.ReadExact(&byte, 1));  // then the connection closes
 
-  QueryResult expected = local.Execute(MakePoint(250.0));
-  EXPECT_EQ(expected.ids, remote.ids);
+  // The connection opened before and one opened after are both served.
+  const QueryResult expected = local.Execute(MakePoint(250.0));
+  net::Client late = net::Client::Connect(kLoopback, server.port());
+  for (net::Client* client : {&bystander, &late}) {
+    const uint64_t id = client->Send(MakePoint(250.0));
+    net::ServeResponse response = client->Await(id);
+    ASSERT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(response.result.ids, expected.ids);
+  }
+  EXPECT_EQ(server.stats().protocol_errors, 1u);
   server.Stop();
 }
 

@@ -5,6 +5,7 @@
 // drop only their own connection, request-level errors keep it open, the
 // connection cap rejects politely, and a caching server marks replays.
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -242,8 +243,8 @@ TEST(NetServerTest, MalformedFrameDropsOnlyThatConnection) {
         net::ReceiveFrame(raw, net::kDefaultMaxBodyBytes, &frame));
     EXPECT_EQ(frame.header.type, net::MessageType::kError);
     net::WireReader reader(frame.body.data(), frame.body.size());
-    net::DecodedError err = net::DecodeErrorBody(
-        frame.header.version, reader, net::kDefaultMaxBodyBytes);
+    net::DecodedError err =
+        net::DecodeErrorBody(reader, net::kDefaultMaxBodyBytes);
     EXPECT_EQ(err.code, net::ErrorCode::kProtocol);
     // After the error frame the server closes: the next read is EOF.
     uint8_t byte;
@@ -313,6 +314,39 @@ TEST(NetServerTest, RequestLevelErrorKeepsConnectionOpen) {
   net::ServeResponse response = client.Await(good);
   EXPECT_TRUE(response.ok) << response.error;
   EXPECT_EQ(server.stats().request_errors, 1u);
+}
+
+// A non-finite query point comes back as kInvalidRequest on its own
+// request id, and the connection keeps serving.
+TEST(NetServerTest, NonFiniteQueryPointIsInvalidRequestConnectionSurvives) {
+  QueryEngine served(TestDataset(), SmallEngine());
+  net::Server server(served);
+  server.Start();
+
+  net::Client client = net::Client::Connect(kLoopback, server.port());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    for (bool knn : {false, true}) {
+      uint64_t id = client.Send(
+          knn ? QueryRequest(KnnQuery{bad, 2, TestOptions()})
+              : QueryRequest(PointQuery{bad, TestOptions()}));
+      net::ServeResponse error = client.Await(id);
+      EXPECT_FALSE(error.ok);
+      EXPECT_EQ(error.request_id, id);
+      EXPECT_EQ(error.code, net::ErrorCode::kInvalidRequest) << error.error;
+    }
+  }
+
+  uint64_t good =
+      client.Send(QueryRequest(PointQuery{500.0, TestOptions()}));
+  net::ServeResponse response = client.Await(good);
+  EXPECT_TRUE(response.ok) << response.error;
+  const QueryResult expected =
+      served.Execute(QueryRequest(PointQuery{500.0, TestOptions()}));
+  EXPECT_EQ(response.result.ids, expected.ids);
+  EXPECT_EQ(server.stats().request_errors, 6u);
+  EXPECT_EQ(server.stats().protocol_errors, 0u);
+  server.Stop();
 }
 
 TEST(NetServerTest, CachingServerMarksReplaysAndStaysExact) {

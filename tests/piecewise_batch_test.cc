@@ -1,8 +1,7 @@
 // Pins the batched StepFunction evaluators (IntegralToSorted's merge scan,
 // IntegralToMany's per-point fallback) and DistanceDistribution::CdfSorted
 // bit-identical to a scalar IntegralTo/Cdf loop — the contract that lets
-// the subregion table build use the merge scan unconditionally in every
-// build configuration and kernel flavor.
+// the subregion table build use the merge scan unconditionally.
 #include "common/piecewise.h"
 
 #include <algorithm>

@@ -1,9 +1,13 @@
 // Tests for the typed request model (engine/request.h): the move-only
 // CandidatesQuery contract — copies fail to compile, re-submission of a
-// consumed payload is rejected on both engines — and the derived-kind
-// variant plumbing (kind()/options() across every payload).
+// consumed payload is rejected on both engines — the derived-kind variant
+// plumbing (kind()/options() across every payload), and the rejection of
+// non-finite query points at engine entry.
 #include "engine/request.h"
 
+#include <functional>
+#include <future>
+#include <limits>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -12,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/synthetic.h"
+#include "engine/caching_engine.h"
 #include "engine/query_engine.h"
 #include "engine/sharded_engine.h"
 
@@ -124,6 +129,59 @@ TEST(QueryRequestTest, BothEnginesRejectConsumedCandidatesRequests) {
     QueryResult first = engine->Execute(std::move(request));
     EXPECT_GT(first.stats.candidates, 0u);
     EXPECT_THROW(engine->Execute(std::move(request)), std::logic_error);
+  }
+}
+
+// A NaN or infinite query point is a caller error. Both engines reject it
+// as the request enters them — on Execute, ExecuteBatch and Submit alike,
+// and through the caching tier — the same way they reject P outside
+// (0, 1], instead of answering empty (NaN) or failing an internal check
+// deep in the distance fold (±inf). Each engine still answers afterwards.
+TEST(QueryRequestTest, NonFiniteQueryPointsAreRejectedOnEveryEngine) {
+  Dataset data = datagen::MakeUniformScatter(120, 100.0, 2.0, /*seed=*/5);
+  datagen::Synthetic2DConfig config2d;
+  config2d.count = 60;
+  Dataset2D data2d = datagen::MakeSynthetic2D(config2d);
+  QueryEngine unsharded(data, data2d, EngineOptions{2});
+  ShardedQueryEngine sharded(data, data2d, ShardedEngineOptions{3, nullptr, 2});
+  QueryEngine backend(data, data2d, EngineOptions{2});
+  CachingEngine cached(backend);
+  const QueryOptions opt = TestOptions();
+
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    const std::vector<std::function<QueryRequest()>> requests = {
+        [&] { return QueryRequest(PointQuery{bad, opt}); },
+        [&] { return QueryRequest(KnnQuery{bad, 2, opt}); },
+        [&] { return QueryRequest(Point2DQuery{{bad, 1.0}, opt}); },
+        [&] { return QueryRequest(Point2DQuery{{1.0, bad}, opt}); },
+        [&] { return QueryRequest(Knn2DQuery{{bad, 1.0}, 2, opt}); },
+        [&] { return QueryRequest(Knn2DQuery{{1.0, bad}, 2, opt}); },
+    };
+    for (Engine* engine : {static_cast<Engine*>(&unsharded),
+                           static_cast<Engine*>(&sharded),
+                           static_cast<Engine*>(&cached)}) {
+      for (size_t r = 0; r < requests.size(); ++r) {
+        SCOPED_TRACE("value " + std::to_string(bad) + ", request " +
+                     std::to_string(r));
+        try {
+          engine->Execute(requests[r]());
+          ADD_FAILURE() << "Execute accepted a non-finite query point";
+        } catch (const std::logic_error& e) {
+          EXPECT_NE(std::string(e.what()).find("query point must be finite"),
+                    std::string::npos)
+              << e.what();
+        }
+        std::vector<QueryRequest> batch;
+        batch.push_back(QueryRequest(PointQuery{50.0, opt}));
+        batch.push_back(requests[r]());
+        EXPECT_THROW(engine->ExecuteBatch(std::move(batch)), std::logic_error);
+        std::future<QueryResult> future = engine->Submit(requests[r]());
+        EXPECT_THROW(future.get(), std::logic_error);
+      }
+      EXPECT_EQ(engine->Execute(QueryRequest(PointQuery{50.0, opt})).ids,
+                unsharded.Execute(QueryRequest(PointQuery{50.0, opt})).ids);
+    }
   }
 }
 

@@ -274,21 +274,20 @@ TEST(ShardedEngineTest, AsyncSubmitMatchesReferenceUnderConcurrency) {
   EXPECT_LE(qstats.batches, qstats.requests);
 }
 
-// Both worker-pool implementations must produce bit-identical answers:
-// with the work-stealing pool every request's shard loop runs as a REAL
-// nested ParallelFor inside batch workers (idle workers steal shard
-// tasks), while the global-queue pool scans shards sequentially there —
-// scheduling is the only difference allowed.
-TEST(ShardedEngineTest, PoolKindsBitIdenticalIncludingNestedScatter) {
+// Nested scatter inside batch workers must answer bit for bit like
+// Execute: ExecuteBatch (and the dispatcher-coalesced Submit batches) run
+// every request's shard loop as a REAL nested ParallelFor inside a batch
+// worker, where idle workers steal the shard tasks, while Execute scatters
+// from the calling thread — scheduling is the only difference allowed.
+TEST(ShardedEngineTest, NestedScatterInBatchWorkersMatchesExecute) {
   Dataset data = datagen::MakeUniformScatter(400, 250.0, 2.0, /*seed=*/23);
-  QueryEngine reference(data, EngineOptions{2});
   const QueryOptions opt = OptionsFor(Strategy::kVR);
   const std::vector<double> points =
       datagen::MakeQueryPoints(4, 0.0, 250.0, /*seed=*/41);
 
   std::vector<testutil::RequestFactory> stream =
       testutil::MakeMixedKindStream(points, opt, /*seed=*/23);
-  const CpnnExecutor& exec = reference.executor();
+  CpnnExecutor exec(data);
   for (double q : points) {
     stream.push_back([&exec, q, opt] {
       FilterResult filtered = exec.Filter(q);
@@ -298,25 +297,15 @@ TEST(ShardedEngineTest, PoolKindsBitIdenticalIncludingNestedScatter) {
     });
   }
 
-  std::vector<std::unique_ptr<ShardedQueryEngine>> variants;
-  std::vector<testutil::NamedEngine> named;
-  for (PoolKind kind : {PoolKind::kGlobalQueue, PoolKind::kWorkStealing}) {
-    ShardedEngineOptions sopt;
-    sopt.num_shards = 4;
-    sopt.num_threads = 4;
-    sopt.pool = kind;
-    variants.push_back(std::make_unique<ShardedQueryEngine>(data, sopt));
-    ASSERT_EQ(variants.back()->pool().kind(), kind);
-    ASSERT_EQ(variants.back()->pool().SupportsNestedParallelFor(),
-              kind == PoolKind::kWorkStealing);
-    named.push_back({std::string(ToString(kind)), variants.back().get()});
-  }
+  ShardedEngineOptions sopt;
+  sopt.num_shards = 4;
+  sopt.num_threads = 4;
+  ShardedQueryEngine sharded(data, sopt);
 
-  // exercise_submit covers the dispatcher-coalesced batches, which run the
-  // nested shard scatter too.
   testutil::DifferentialConfig config;
   config.exercise_submit = true;
-  testutil::RunDifferentialStream(reference, named, stream, config);
+  testutil::RunDifferentialStream(sharded, {{"nested scatter", &sharded}},
+                                  stream, config);
 }
 
 TEST(ShardedEngineTest, DegenerateShapesMatchUnsharded) {

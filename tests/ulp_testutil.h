@@ -1,12 +1,6 @@
-// ULP-distance equivalence helpers, shared by tests that compare the
-// scalar reference kernels against the restructured/vectorized
-// (PVERIFY_SIMD) kernels. The SIMD contract: per-slot q_ij values are
-// bit-identical (the masked kernels perform the scalar path's exact
-// operations in the same order); only `omp simd` reduction reassociation
-// in the Eq. 4 bound refresh may move a result by a few ULP. Tests that
-// pin such values therefore assert ULP distance, not bit equality — and
-// keep the budget tight (64 ULP ≈ 1e-14 relative) so a real numerics
-// regression still fails.
+// ULP-distance equivalence helpers for the differential harness
+// (tests/differential_testutil.h): its answers compare within `max_ulps`
+// units in the last place, 0 meaning bit identity.
 #ifndef PVERIFY_TESTS_ULP_TESTUTIL_H_
 #define PVERIFY_TESTS_ULP_TESTUTIL_H_
 

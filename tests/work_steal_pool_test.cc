@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "common/timer.h"
-#include "engine/worker_pool.h"
 
 namespace pverify {
 namespace {
@@ -36,9 +35,24 @@ TEST(WorkStealPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(WorkStealPoolTest, ZeroThreadRequestClampsToOne) {
+TEST(WorkStealPoolTest, ZeroThreadRequestMeansHardwareConcurrency) {
+  EXPECT_GE(WorkStealingPool::DefaultThreadCount(), 1u);
   WorkStealingPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
+  EXPECT_EQ(pool.size(), WorkStealingPool::DefaultThreadCount());
+}
+
+TEST(WorkStealPoolTest, WorkerIdsStayInRange) {
+  WorkStealingPool pool(3);
+  std::mutex mu;
+  std::set<size_t> workers_seen;
+  pool.ParallelFor(256, [&](size_t worker, size_t) {
+    std::lock_guard<std::mutex> lock(mu);
+    workers_seen.insert(worker);
+  });
+  // Dynamic scheduling makes the exact set nondeterministic, but every
+  // reported id must be a valid worker.
+  ASSERT_FALSE(workers_seen.empty());
+  for (size_t w : workers_seen) EXPECT_LT(w, pool.size());
 }
 
 TEST(WorkStealPoolTest, ParallelForZeroItemsIsNoop) {
@@ -96,13 +110,18 @@ TEST(WorkStealPoolTest, TripleNestingCompletes) {
 
 TEST(WorkStealPoolTest, ExceptionPropagatesFromOuterLoopToExternalCaller) {
   WorkStealingPool pool(2);
+  std::atomic<int> ran{0};
   EXPECT_THROW(pool.ParallelFor(8,
-                                [](size_t, size_t index) {
+                                [&](size_t, size_t index) {
                                   if (index == 3) {
                                     throw std::runtime_error("boom");
                                   }
+                                  ran.fetch_add(1);
                                 }),
                std::runtime_error);
+  // The exception is rethrown only after the loop drained: every other
+  // index already ran.
+  EXPECT_EQ(ran.load(), 7);
   // The pool survives and stays usable.
   std::atomic<int> count{0};
   pool.ParallelFor(8, [&](size_t, size_t) { count.fetch_add(1); });
@@ -314,23 +333,6 @@ TEST(WorkStealPoolTest, DrainedForeignTaskTimeIsAccounted) {
   EXPECT_GE(foreign_delta.load(), kBusyMs * 0.9);
   // A thread outside the pool never drains foreign work.
   EXPECT_EQ(pool.ForeignWorkMsOnThisThread(), 0.0);
-}
-
-TEST(WorkStealPoolTest, FactoryAndKinds) {
-  std::unique_ptr<WorkerPool> steal =
-      MakeWorkerPool(PoolKind::kWorkStealing, 2);
-  std::unique_ptr<WorkerPool> global =
-      MakeWorkerPool(PoolKind::kGlobalQueue, 2);
-  EXPECT_EQ(steal->kind(), PoolKind::kWorkStealing);
-  EXPECT_TRUE(steal->SupportsNestedParallelFor());
-  EXPECT_EQ(global->kind(), PoolKind::kGlobalQueue);
-  EXPECT_FALSE(global->SupportsNestedParallelFor());
-  EXPECT_EQ(ToString(PoolKind::kWorkStealing), "work-stealing");
-  EXPECT_EQ(ToString(PoolKind::kGlobalQueue), "global-queue");
-  std::atomic<int> count{0};
-  steal->ParallelFor(8, [&](size_t, size_t) { count.fetch_add(1); });
-  global->ParallelFor(8, [&](size_t, size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 16);
 }
 
 }  // namespace
