@@ -39,15 +39,18 @@
 // shards, each guarded by its own mutex, so concurrent Execute/Submit
 // streams from work-stealing pool workers contend only per shard. The
 // Engine contract is preserved: ExecuteBatch from one thread at a time,
-// Execute and Submit from anywhere (an internal SubmitQueue coalesces
-// submissions exactly like the wrapped engines' own queues, so cached
-// hits resolve without waking the backend pool).
+// Execute and Submit from anywhere. Submit has no queue or thread of its
+// own: an exact hit completes inline on the caller's thread before Submit
+// returns, and a miss is forwarded to the backend's Submit (which
+// coalesces it into the backend's pool batches) with a completion that
+// memoizes the result and then completes. The destructor waits for every
+// forwarded miss to complete.
 #ifndef PVERIFY_ENGINE_CACHING_ENGINE_H_
 #define PVERIFY_ENGINE_CACHING_ENGINE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -58,8 +61,6 @@
 #include "engine/engine.h"
 
 namespace pverify {
-
-class SubmitQueue;
 
 struct CachingEngineOptions {
   /// Total cached results across all cache shards; 0 disables caching
@@ -110,9 +111,13 @@ class CachingEngine : public Engine {
   std::vector<QueryResult> ExecuteBatch(std::vector<QueryRequest> requests,
                                         EngineStats* stats = nullptr) override;
 
-  /// Non-blocking submission with coalescing; cached requests in a
-  /// coalesced batch resolve without re-running the backend pipeline.
-  std::future<QueryResult> Submit(QueryRequest request) override;
+  /// Non-blocking submission: an exact hit completes inline before Submit
+  /// returns; misses and bypasses go to the backend's Submit. Every call
+  /// counts exactly one of hit, miss, recheck or bypass.
+  using Engine::Submit;
+  void Submit(QueryRequest request, Completion done) override;
+  /// The backend's submission-queue telemetry (only forwarded misses and
+  /// bypasses reach a queue).
   SubmitQueueStats SubmitStats() const override;
   size_t ScratchQueriesServed() const override;
   size_t ScratchBytes() const override;
@@ -188,15 +193,6 @@ class CachingEngine : public Engine {
   /// Skipped when the epoch moved since the lookup.
   void Insert(const CacheQuery& cq, const QueryResult& result);
 
-  /// Shared serving core of ExecuteBatch and the submit-queue drain.
-  /// Requires batch_mu_. Appends served results to `results` in request
-  /// order; `backend_stats` (optional) receives the miss sub-batch's
-  /// aggregate from the backend.
-  void ServeBatch(std::vector<QueryRequest>&& requests,
-                  std::vector<QueryResult>& results,
-                  EngineStats* backend_stats);
-  void RunSubmitted(std::vector<PendingQuery>& batch);
-  SubmitQueue* EnsureSubmitQueue();
   /// Snapshot of the monotone counters (for per-batch deltas).
   CacheStats CounterSnapshot() const;
 
@@ -217,13 +213,15 @@ class CachingEngine : public Engine {
 
   /// Serializes this tier's ExecuteBatch (mirroring the wrapped engines),
   /// so the backend's one-batch-at-a-time contract holds no matter how
-  /// callers interleave. The submit drain never takes it: coalesced misses
-  /// are re-submitted to the backend's own queue, which is safe against
-  /// everything.
+  /// callers interleave. Submit never takes it: misses go to the backend's
+  /// Submit, which is safe against everything.
   mutable std::mutex batch_mu_;
-  std::once_flag submit_once_;
-  std::atomic<SubmitQueue*> submit_queue_ptr_{nullptr};
-  std::unique_ptr<SubmitQueue> submit_queue_;  ///< last: drains first
+
+  /// Misses forwarded to the backend's Submit and not yet completed; the
+  /// destructor waits for zero, since their completions touch the shards.
+  std::mutex forwarded_mu_;
+  std::condition_variable forwarded_done_;
+  size_t forwarded_ = 0;
 };
 
 /// Factory: wraps an owned backend in a caching tier.

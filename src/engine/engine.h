@@ -11,8 +11,16 @@
 //    batch across the implementation's worker pool, returning results in
 //    request order; answers are bit-identical across implementations and to
 //    the sequential executors (only timings differ).
-//  * Submit enqueues a request and returns a future; requests submitted
-//    while a batch is in flight coalesce into the next pool batch.
+//  * Submit(request, done) is the one asynchronous entry point: it returns
+//    without waiting for the answer and calls `done` exactly once with the
+//    result Execute would produce, or with the exception Execute would
+//    throw. `done` may run on the calling thread before Submit returns (a
+//    CachingEngine answers exact hits that way) or later on an engine
+//    worker that may hold the engine's batch lock, so it must be cheap,
+//    thread-safe, must not throw, and may Submit again but must not call
+//    the engine's ExecuteBatch or scratch telemetry. Requests
+//    submitted while a batch is in flight coalesce into the next pool
+//    batch. Submit(request) is a future-returning wrapper over it.
 //  * ExecuteBatch may be called from one thread at a time; Execute and
 //    Submit may be called concurrently with everything.
 //  * Scratch telemetry (ScratchQueriesServed / ScratchBytes) exposes the
@@ -20,6 +28,8 @@
 #ifndef PVERIFY_ENGINE_ENGINE_H_
 #define PVERIFY_ENGINE_ENGINE_H_
 
+#include <exception>
+#include <functional>
 #include <future>
 #include <vector>
 
@@ -27,6 +37,11 @@
 #include "engine/request.h"
 
 namespace pverify {
+
+/// Receives one submitted request's outcome: the result, or the exception
+/// Execute would have thrown (`error` non-null, `result` empty).
+using Completion =
+    std::function<void(QueryResult result, std::exception_ptr error)>;
 
 class Engine {
  public:
@@ -43,9 +58,13 @@ class Engine {
   virtual std::vector<QueryResult> ExecuteBatch(
       std::vector<QueryRequest> requests, EngineStats* stats = nullptr) = 0;
 
-  /// Non-blocking submission: queues the request and returns a future that
-  /// resolves to the same result Execute would produce. Thread-safe.
-  virtual std::future<QueryResult> Submit(QueryRequest request) = 0;
+  /// Non-blocking submission: `done` is called exactly once with the
+  /// outcome Execute would produce, possibly before Submit returns.
+  /// Thread-safe.
+  virtual void Submit(QueryRequest request, Completion done) = 0;
+
+  /// Submit(request, done) with a future in place of the completion.
+  std::future<QueryResult> Submit(QueryRequest request);
 
   /// Submission-queue telemetry (zeros until the first Submit).
   virtual SubmitQueueStats SubmitStats() const = 0;
@@ -61,11 +80,27 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 };
 
-/// One queued async request with the promise its future was minted from
+/// One queued async request and the completion its outcome goes to
 /// (shared between the engines and the SubmitQueue).
 struct PendingQuery {
   QueryRequest request;
-  std::promise<QueryResult> promise;
+  Completion done;
+
+  /// Calls done(compute(request)), or done with the exception compute
+  /// threw, and clears `done` so the query can never complete twice.
+  template <typename Compute>
+  void CompleteWith(Compute&& compute) {
+    QueryResult result;
+    std::exception_ptr error;
+    try {
+      result = compute(std::move(request));
+    } catch (...) {
+      error = std::current_exception();
+    }
+    Completion once = std::move(done);
+    done = nullptr;
+    once(std::move(result), error);
+  }
 };
 
 }  // namespace pverify

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/timer.h"
-#include "engine/submit_queue.h"
 
 namespace pverify {
 
@@ -61,36 +60,20 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(
   return results;
 }
 
-SubmitQueue* QueryEngine::EnsureSubmitQueue() {
-  SubmitQueue* queue = submit_queue_ptr_.load(std::memory_order_acquire);
-  if (queue != nullptr) return queue;
-  std::call_once(submit_once_, [this] {
-    submit_queue_ = std::make_unique<SubmitQueue>(
-        [this](std::vector<PendingQuery>& batch) { RunSubmitted(batch); });
-    submit_queue_ptr_.store(submit_queue_.get(), std::memory_order_release);
-  });
-  return submit_queue_ptr_.load(std::memory_order_acquire);
-}
-
-std::future<QueryResult> QueryEngine::Submit(QueryRequest request) {
-  return EnsureSubmitQueue()->Submit(std::move(request));
+void QueryEngine::Submit(QueryRequest request, Completion done) {
+  submit_queue_.Submit(std::move(request), std::move(done));
 }
 
 SubmitQueueStats QueryEngine::SubmitStats() const {
-  SubmitQueue* queue = submit_queue_ptr_.load(std::memory_order_acquire);
-  return queue != nullptr ? queue->GetStats() : SubmitQueueStats{};
+  return submit_queue_.GetStats();
 }
 
 void QueryEngine::RunSubmitted(std::vector<PendingQuery>& batch) {
   std::lock_guard<std::mutex> lock(batch_mu_);
   BatchPool().ParallelFor(batch.size(), [&](size_t worker, size_t index) {
-    PendingQuery& item = batch[index];
-    try {
-      item.promise.set_value(ExecuteOne(std::move(item.request),
-                                        worker_scratches_[worker].get()));
-    } catch (...) {
-      item.promise.set_exception(std::current_exception());
-    }
+    batch[index].CompleteWith([&](QueryRequest&& request) {
+      return ExecuteOne(std::move(request), worker_scratches_[worker].get());
+    });
   });
 }
 

@@ -12,14 +12,13 @@
 // sequentially through the executors: workers share nothing but the
 // read-only executors, and each query's arithmetic is unchanged.
 //
-// Besides ExecuteBatch, interactive callers can Submit single requests and
-// get a future back: an internal submission queue coalesces everything
-// in flight into batches for the worker pool (see engine/submit_queue.h).
+// Besides ExecuteBatch, interactive callers can Submit single requests with
+// a completion (or get a future back): an internal submission queue
+// coalesces everything in flight into batches for the worker pool (see
+// engine/submit_queue.h).
 #ifndef PVERIFY_ENGINE_QUERY_ENGINE_H_
 #define PVERIFY_ENGINE_QUERY_ENGINE_H_
 
-#include <atomic>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -29,11 +28,10 @@
 #include "core/query2d.h"
 #include "engine/engine.h"
 #include "engine/scratch.h"
+#include "engine/submit_queue.h"
 #include "engine/work_steal_pool.h"
 
 namespace pverify {
-
-class SubmitQueue;
 
 struct EngineOptions {
   /// Worker threads; 0 means hardware concurrency.
@@ -64,7 +62,8 @@ class QueryEngine : public Engine {
   QueryResult Execute(QueryRequest request) override;
   std::vector<QueryResult> ExecuteBatch(std::vector<QueryRequest> requests,
                                         EngineStats* stats = nullptr) override;
-  std::future<QueryResult> Submit(QueryRequest request) override;
+  using Engine::Submit;
+  void Submit(QueryRequest request, Completion done) override;
   SubmitQueueStats SubmitStats() const override;
   size_t ScratchQueriesServed() const override;
   size_t ScratchBytes() const override;
@@ -86,7 +85,6 @@ class QueryEngine : public Engine {
   /// never batch (e.g. the sharded engine's per-shard executors) never
   /// park idle worker threads.
   WorkStealingPool& BatchPool();
-  SubmitQueue* EnsureSubmitQueue();
 
   CpnnExecutor executor_;
   /// Engaged when the engine owns a 2-D dataset (Point2DQuery requests).
@@ -100,13 +98,11 @@ class QueryEngine : public Engine {
   mutable std::mutex serial_mu_;
   /// One batch at a time owns the pool + worker scratches.
   mutable std::mutex batch_mu_;
-  /// Lazily started on first Submit; declared last so it drains (and stops
-  /// using the pool/scratches) before anything above is destroyed.
-  std::once_flag submit_once_;
-  /// Published (release) once submit_queue_ is constructed so SubmitStats
-  /// can read it lock-free from any thread.
-  std::atomic<SubmitQueue*> submit_queue_ptr_{nullptr};
-  std::unique_ptr<SubmitQueue> submit_queue_;
+  /// Its dispatcher starts on the first Submit; declared last so it drains
+  /// (and stops using the pool/scratches) before anything above is
+  /// destroyed.
+  SubmitQueue submit_queue_{
+      [this](std::vector<PendingQuery>& batch) { RunSubmitted(batch); }};
 };
 
 }  // namespace pverify

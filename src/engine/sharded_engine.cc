@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/timer.h"
-#include "engine/submit_queue.h"
 #include "spatial/filter.h"
 #include "uncertain/distance_distribution.h"
 
@@ -388,24 +387,12 @@ std::vector<QueryResult> ShardedQueryEngine::ExecuteBatch(
   return ExecuteBatchLocked(std::move(requests), nullptr, stats);
 }
 
-SubmitQueue* ShardedQueryEngine::EnsureSubmitQueue() {
-  SubmitQueue* queue = submit_queue_ptr_.load(std::memory_order_acquire);
-  if (queue != nullptr) return queue;
-  std::call_once(submit_once_, [this] {
-    submit_queue_ = std::make_unique<SubmitQueue>(
-        [this](std::vector<PendingQuery>& batch) { RunSubmitted(batch); });
-    submit_queue_ptr_.store(submit_queue_.get(), std::memory_order_release);
-  });
-  return submit_queue_ptr_.load(std::memory_order_acquire);
-}
-
-std::future<QueryResult> ShardedQueryEngine::Submit(QueryRequest request) {
-  return EnsureSubmitQueue()->Submit(std::move(request));
+void ShardedQueryEngine::Submit(QueryRequest request, Completion done) {
+  submit_queue_.Submit(std::move(request), std::move(done));
 }
 
 SubmitQueueStats ShardedQueryEngine::SubmitStats() const {
-  SubmitQueue* queue = submit_queue_ptr_.load(std::memory_order_acquire);
-  return queue != nullptr ? queue->GetStats() : SubmitQueueStats{};
+  return submit_queue_.GetStats();
 }
 
 size_t ShardedQueryEngine::ShardVisits() const {
@@ -436,14 +423,10 @@ void ShardedQueryEngine::RunSubmitted(std::vector<PendingQuery>& batch) {
   // explicit batches; each request's shard loop nests, so even a coalesced
   // batch of ONE expensive query fans out.
   pool_.ParallelFor(batch.size(), [&](size_t worker, size_t index) {
-    PendingQuery& item = batch[index];
-    try {
-      item.promise.set_value(ExecuteOne(std::move(item.request),
-                                        worker_scratches_[worker].get(),
-                                        nullptr));
-    } catch (...) {
-      item.promise.set_exception(std::current_exception());
-    }
+    batch[index].CompleteWith([&](QueryRequest&& request) {
+      return ExecuteOne(std::move(request), worker_scratches_[worker].get(),
+                        nullptr);
+    });
   });
 }
 

@@ -39,13 +39,13 @@
 
 #include <atomic>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "datagen/partition.h"
 #include "engine/query_engine.h"
+#include "engine/submit_queue.h"
 #include "engine/work_steal_pool.h"
 #include "spatial/bounds.h"
 
@@ -121,7 +121,8 @@ class ShardedQueryEngine : public Engine {
                                         ShardedBatchStats* stats);
 
   /// Non-blocking submission with coalescing, as QueryEngine::Submit.
-  std::future<QueryResult> Submit(QueryRequest request) override;
+  using Engine::Submit;
+  void Submit(QueryRequest request, Completion done) override;
   SubmitQueueStats SubmitStats() const override;
 
   /// Lifetime telemetry: scatter executions reaching a shard vs. skipped
@@ -198,7 +199,6 @@ class ShardedQueryEngine : public Engine {
   /// batch worker).
   void ForEachIndex(size_t n, const std::function<void(size_t)>& fn);
   void RunSubmitted(std::vector<PendingQuery>& batch);
-  SubmitQueue* EnsureSubmitQueue();
   std::vector<QueryResult> ExecuteBatchLocked(
       std::vector<QueryRequest>&& requests, EngineStats* gathered,
       ShardedBatchStats* sharded);
@@ -223,11 +223,8 @@ class ShardedQueryEngine : public Engine {
   std::atomic<size_t> shard_visits_{0};
   std::atomic<size_t> shards_pruned_{0};
 
-  std::once_flag submit_once_;
-  /// Published (release) once submit_queue_ is constructed so SubmitStats
-  /// can read it lock-free from any thread.
-  std::atomic<SubmitQueue*> submit_queue_ptr_{nullptr};
-  std::unique_ptr<SubmitQueue> submit_queue_;  ///< last: drains first
+  SubmitQueue submit_queue_{  ///< last: drains first
+      [this](std::vector<PendingQuery>& batch) { RunSubmitted(batch); }};
 };
 
 }  // namespace pverify

@@ -9,7 +9,6 @@ namespace pverify {
 
 SubmitQueue::SubmitQueue(BatchRunner runner) : runner_(std::move(runner)) {
   PV_CHECK_MSG(runner_ != nullptr, "SubmitQueue requires a batch runner");
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
 SubmitQueue::~SubmitQueue() {
@@ -18,20 +17,21 @@ SubmitQueue::~SubmitQueue() {
     stopping_ = true;
   }
   work_ready_.notify_all();
-  dispatcher_.join();
+  // No Submit can start the dispatcher once stopping_ is set.
+  if (dispatcher_.joinable()) dispatcher_.join();
 }
 
-std::future<QueryResult> SubmitQueue::Submit(QueryRequest request) {
-  std::future<QueryResult> future;
+void SubmitQueue::Submit(QueryRequest request, Completion done) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     PV_CHECK_MSG(!stopping_, "Submit after shutdown");
-    pending_.push_back(PendingQuery{std::move(request), {}});
-    future = pending_.back().promise.get_future();
+    if (!dispatcher_.joinable()) {
+      dispatcher_ = std::thread([this] { DispatcherLoop(); });
+    }
+    pending_.push_back(PendingQuery{std::move(request), std::move(done)});
     ++stats_.requests;
   }
   work_ready_.notify_one();
-  return future;
 }
 
 SubmitQueueStats SubmitQueue::GetStats() const {
@@ -54,14 +54,11 @@ void SubmitQueue::DispatcherLoop() {
     try {
       runner_(batch);
     } catch (...) {
-      // The runner is expected to fulfill promises itself; if it threw
-      // midway, fail whatever is left so no future sees broken_promise.
+      // The runner is expected to complete every query itself; if it threw
+      // midway, fail whatever is left so no query goes unanswered.
+      const std::exception_ptr error = std::current_exception();
       for (PendingQuery& item : batch) {
-        try {
-          item.promise.set_exception(std::current_exception());
-        } catch (const std::future_error&) {
-          // Already fulfilled before the runner threw.
-        }
+        if (item.done != nullptr) item.done(QueryResult{}, error);
       }
     }
   }

@@ -1,5 +1,7 @@
 #include "net/frame.h"
 
+#include <algorithm>
+
 namespace pverify {
 namespace net {
 
@@ -17,18 +19,23 @@ uint32_t GetLe32(const uint8_t* in) {
 
 }  // namespace
 
+std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t request_id,
+                                 const WireWriter& body) {
+  std::vector<uint8_t> frame(kFrameHeaderBytes + body.size() +
+                             kFrameChecksumBytes);
+  EncodeFrameHeader(type, request_id, static_cast<uint32_t>(body.size()),
+                    frame.data());
+  std::copy(body.bytes().begin(), body.bytes().end(),
+            frame.begin() + kFrameHeaderBytes);
+  const size_t covered = kFrameHeaderBytes + body.size();
+  PutLe32(frame.data() + covered, Crc32(frame.data(), covered));
+  return frame;
+}
+
 void SendFrameOn(Socket& sock, MessageType type, uint64_t request_id,
                  const WireWriter& body) {
-  uint8_t header[kFrameHeaderBytes];
-  EncodeFrameHeader(type, request_id, static_cast<uint32_t>(body.size()),
-                    header);
-  sock.WriteAll(header, sizeof(header));
-  if (body.size() > 0) sock.WriteAll(body.bytes().data(), body.size());
-  uint32_t crc = Crc32(header, sizeof(header));
-  crc = Crc32(body.bytes().data(), body.size(), crc);
-  uint8_t trailer[kFrameChecksumBytes];
-  PutLe32(trailer, crc);
-  sock.WriteAll(trailer, sizeof(trailer));
+  const std::vector<uint8_t> frame = EncodeFrame(type, request_id, body);
+  sock.WriteAll(frame.data(), frame.size());
 }
 
 bool ReceiveFrame(Socket& sock, uint32_t max_body_bytes, ReceivedFrame* out) {
@@ -36,20 +43,17 @@ bool ReceiveFrame(Socket& sock, uint32_t max_body_bytes, ReceivedFrame* out) {
   if (!sock.ReadExact(header_bytes, sizeof(header_bytes))) return false;
   out->header_at = std::chrono::steady_clock::now();
   out->header = DecodeFrameHeader(header_bytes, max_body_bytes);
-  out->body.resize(out->header.body_bytes);
-  if (out->header.body_bytes > 0 &&
-      !sock.ReadExact(out->body.data(), out->body.size())) {
+  const size_t body_bytes = out->header.body_bytes;
+  out->body.resize(body_bytes + kFrameChecksumBytes);
+  if (!sock.ReadExact(out->body.data(), out->body.size())) {
     throw WireError("wire: connection closed before the frame body");
   }
-  uint8_t trailer[kFrameChecksumBytes];
-  if (!sock.ReadExact(trailer, sizeof(trailer))) {
-    throw WireError("wire: connection closed before the frame checksum");
-  }
   uint32_t crc = Crc32(header_bytes, sizeof(header_bytes));
-  crc = Crc32(out->body.data(), out->body.size(), crc);
-  if (crc != GetLe32(trailer)) {
+  crc = Crc32(out->body.data(), body_bytes, crc);
+  if (crc != GetLe32(out->body.data() + body_bytes)) {
     throw WireError("wire: frame checksum mismatch");
   }
+  out->body.resize(body_bytes);
   return true;
 }
 

@@ -27,13 +27,18 @@ struct ReceivedFrame {
   std::chrono::steady_clock::time_point header_at{};
 };
 
-/// Writes a complete frame (header, body, and the CRC-32 trailer over
-/// both). Callers serialize concurrent senders on one socket themselves; a
-/// frame must never interleave with another.
+/// The complete bytes of one frame: header ‖ body ‖ CRC-32(header ‖ body).
+std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t request_id,
+                                 const WireWriter& body);
+
+/// Writes EncodeFrame(type, request_id, body) with one WriteAll. Callers
+/// serialize concurrent senders on one socket themselves; a frame must
+/// never interleave with another.
 void SendFrameOn(Socket& sock, MessageType type, uint64_t request_id,
                  const WireWriter& body);
 
-/// Reads the next complete frame. Returns false on a clean EOF between
+/// Reads the next complete frame: the header, then body and trailer with
+/// one ReadExact. Returns false on a clean EOF between
 /// frames; throws WireError on truncation, header violations, an oversized
 /// body (WireTooLarge) or a checksum mismatch, and WireTimeout when the
 /// socket has a receive timeout configured and it expires.

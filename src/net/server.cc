@@ -2,14 +2,22 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "net/codec.h"
 
 namespace pverify {
 namespace net {
 
-using Clock = std::chrono::steady_clock;
+namespace {
+
+std::vector<uint8_t> ErrorFrame(uint64_t request_id, ErrorCode code,
+                                const std::string& message) {
+  WireWriter body;
+  EncodeErrorBody(code, message, body);
+  return EncodeFrame(MessageType::kError, request_id, body);
+}
+
+}  // namespace
 
 Server::Server(Engine& engine, ServerOptions options)
     : engine_(engine), options_(options) {}
@@ -27,26 +35,15 @@ bool Server::Drain(uint32_t deadline_ms) {
   draining_.store(true, std::memory_order_release);
   listener_.Shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
-  // In-flight work is everything submitted-but-unanswered
-  // (global_pending_) plus queued error frames the writers still owe;
-  // readers reject anything new with kShuttingDown from here on.
-  Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
-  for (;;) {
-    bool idle = global_pending_.load(std::memory_order_acquire) == 0;
-    if (idle) {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      for (auto& conn : conns_) {
-        std::lock_guard<std::mutex> conn_lock(conn->mu);
-        if (!conn->queue.empty()) {
-          idle = false;
-          break;
-        }
-      }
-    }
-    if (idle) return true;
+  // In-flight work is everything admitted but not yet answered on the
+  // wire; readers reject anything new with kShuttingDown from here on.
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(deadline_ms);
+  while (global_pending_.load(std::memory_order_acquire) > 0) {
     if (Clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
+  return true;
 }
 
 void Server::Stop() {
@@ -58,14 +55,22 @@ void Server::Stop() {
   std::lock_guard<std::mutex> lock(conns_mu_);
   for (auto& conn : conns_) {
     conn->sock.ShutdownBoth();
+    // Under the lock, so a writer between its stopping_ check and its wait
+    // cannot miss the wake-up.
+    std::lock_guard<std::mutex> conn_lock(conn->mu);
     conn->cv.notify_all();
   }
-  for (auto& conn : conns_) {
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->writer.joinable()) conn->writer.join();
-  }
+  for (auto& conn : conns_) JoinAndClose(*conn);
   conns_.clear();
   started_ = false;
+}
+
+void Server::JoinAndClose(Connection& conn) {
+  if (conn.reader.joinable()) conn.reader.join();
+  if (conn.writer.joinable()) conn.writer.join();
+  // Completions still held by the engine keep the Connection alive but
+  // never use its socket; release the descriptor now.
+  conn.sock.Close();
 }
 
 ServerStats Server::stats() const {
@@ -77,8 +82,7 @@ void Server::ReapFinishedLocked() {
   for (auto it = conns_.begin(); it != conns_.end();) {
     Connection& conn = **it;
     if (conn.finished.load(std::memory_order_acquire)) {
-      if (conn.reader.joinable()) conn.reader.join();
-      if (conn.writer.joinable()) conn.writer.join();
+      JoinAndClose(conn);
       it = conns_.erase(it);
     } else {
       ++it;
@@ -106,46 +110,42 @@ void Server::AcceptLoop() {
     if (conns_.size() >= options_.max_connections) {
       // Over the cap: tell the client why, then hang up. A best-effort
       // write — a peer that already vanished only costs us the syscall.
-      WireWriter body;
-      EncodeErrorBody(ErrorCode::kOverloaded, "server connection limit reached",
-                      body);
-      {
-        // Count before the write: a client that has read the rejection
-        // frame must already observe the counter.
-        std::lock_guard<std::mutex> stats_lock(stats_mu_);
-        ++stats_.connections_rejected;
-      }
+      // Counted before the write, like every rejection: a client that has
+      // read the rejection frame must already observe the counter.
+      Count(&ServerStats::connections_rejected);
+      const std::vector<uint8_t> frame = ErrorFrame(
+          0, ErrorCode::kOverloaded, "server connection limit reached");
       try {
-        SendFrameOn(sock, MessageType::kError, 0, body);
+        sock.WriteAll(frame.data(), frame.size());
       } catch (const WireError&) {
       }
       continue;
     }
-    auto conn = std::make_unique<Connection>();
+    auto conn = std::make_shared<Connection>();
     conn->sock = std::move(sock);
-    Connection* raw = conn.get();
-    conn->reader = std::thread([this, raw] { ReaderLoop(raw); });
-    conn->writer = std::thread([this, raw] { WriterLoop(raw); });
+    conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
+    conn->writer = std::thread([this, raw = conn.get()] { WriterLoop(raw); });
     conns_.push_back(std::move(conn));
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.connections_accepted;
+    Count(&ServerStats::connections_accepted);
   }
 }
 
-bool Server::SendOnConn(Connection* conn, MessageType type,
-                        uint64_t request_id, const WireWriter& body) {
+void Server::Count(uint64_t ServerStats::*counter) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++(stats_.*counter);
+}
+
+bool Server::WriteOnConn(Connection* conn,
+                         const std::vector<uint8_t>& frame) {
   std::lock_guard<std::mutex> lock(conn->write_mu);
   try {
-    SendFrameOn(conn->sock, type, request_id, body);
+    conn->sock.WriteAll(frame.data(), frame.size());
     return true;
   } catch (const WireTimeout&) {
     // The peer stopped draining its socket: the slow-reader policy cuts it
     // loose rather than let one stalled connection pin a writer thread and
     // an unbounded backlog.
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      ++stats_.slow_reader_disconnects;
-    }
+    Count(&ServerStats::slow_reader_disconnects);
     conn->sock.ShutdownBoth();
     return false;
   } catch (const WireError&) {
@@ -155,31 +155,77 @@ bool Server::SendOnConn(Connection* conn, MessageType type,
 }
 
 bool Server::RejectNow(Connection* conn, uint64_t request_id, ErrorCode code,
-                       const std::string& message) {
-  WireWriter body;
-  EncodeErrorBody(code, message, body);
-  return SendOnConn(conn, MessageType::kError, request_id, body);
+                       const std::string& message,
+                       uint64_t ServerStats::*counter) {
+  Count(counter);
+  return WriteOnConn(conn, ErrorFrame(request_id, code, message));
+}
+
+bool Server::Deliver(Connection* conn, const Outgoing& out) {
+  // Expiries count before the write, like rejections; answers once written.
+  const bool expired = out.counter == &ServerStats::deadline_expirations;
+  if (expired) Count(out.counter);
+  const bool sent = WriteOnConn(conn, out.frame);
+  if (sent && !expired) Count(out.counter);
+  conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
+  global_pending_.fetch_sub(1, std::memory_order_acq_rel);
+  return sent;
 }
 
 void Server::QueueProtocolError(Connection* conn, uint64_t request_id,
                                 ErrorCode code, const std::string& message) {
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.protocol_errors;
-  }
+  Count(&ServerStats::protocol_errors);
+  std::vector<uint8_t> frame = ErrorFrame(request_id, code, message);
   std::lock_guard<std::mutex> lock(conn->mu);
-  if (conn->writer_exited) return;
-  Outgoing out;
-  out.type = MessageType::kError;
-  out.request_id = request_id;
-  out.code = code;
-  out.error = message;
-  out.close_after = true;
-  conn->queue.push_back(std::move(out));
-  conn->cv.notify_one();
+  if (!conn->writer_exited) conn->final_error = std::move(frame);
 }
 
-void Server::ReaderLoop(Connection* conn) {
+Completion Server::MakeCompletion(std::shared_ptr<Connection> conn,
+                                  uint64_t seq, const Pending& pending) {
+  return [this, conn = std::move(conn), seq, pending,
+          reader = std::this_thread::get_id()](QueryResult result,
+                                               std::exception_ptr error) {
+    // Encode outside the connection lock, on the completing thread.
+    Outgoing out;
+    if (Clock::now() >= pending.deadline) {
+      out.counter = &ServerStats::deadline_expirations;
+      out.frame = ErrorFrame(pending.request_id, ErrorCode::kDeadlineExceeded,
+                             "deadline exceeded while queued or executing");
+    } else {
+      WireWriter body;
+      MessageType type = MessageType::kResponse;
+      try {
+        if (error != nullptr) std::rethrow_exception(error);
+        EncodeResult(result, body);
+      } catch (const std::exception& e) {
+        // Request-level failure (the engine rejected the query): report it
+        // on this request id and keep the connection alive.
+        type = MessageType::kError;
+        out.counter = &ServerStats::request_errors;
+        body.Clear();
+        EncodeErrorBody(ErrorCode::kInvalidRequest, e.what(), body);
+      }
+      out.frame = EncodeFrame(type, pending.request_id, body);
+    }
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      // Already answered at its deadline, or the connection is gone.
+      if (conn->pending.erase(seq) == 0) return;
+      if (std::this_thread::get_id() != reader) {
+        conn->queue.push_back(std::move(out));
+        conn->cv.notify_one();
+        return;
+      }
+    }
+    // Completed inside the reader's Submit call (a cache hit): the reader
+    // thread sends it now. A failed send shuts the socket down, so the
+    // reader's next receive ends the connection.
+    Deliver(conn.get(), out);
+  };
+}
+
+void Server::ReaderLoop(const std::shared_ptr<Connection>& conn) {
+  uint64_t next_seq = 0;
   for (;;) {
     ReceivedFrame frame;
     uint64_t request_id = 0;
@@ -197,98 +243,70 @@ void Server::ReaderLoop(Connection* conn) {
       reader.ExpectEnd();
 
       // Admission control, in rejection-priority order. Every rejection is
-      // sent by this thread directly (the protocol allows out-of-order
-      // frames), so a client whose responses are stuck behind a full
-      // writer queue still hears the backpressure immediately.
-      bool has_deadline = ext.deadline_ms > 0;
-      Clock::time_point deadline =
-          frame.header_at + std::chrono::milliseconds(ext.deadline_ms);
-      if (has_deadline && Clock::now() >= deadline) {
+      // sent by this thread directly, so a client whose earlier requests
+      // are stuck in a stalled engine still hears the backpressure
+      // immediately.
+      Pending pending;
+      pending.request_id = request_id;
+      const bool has_deadline = ext.deadline_ms > 0;
+      if (has_deadline) {
+        pending.deadline =
+            frame.header_at + std::chrono::milliseconds(ext.deadline_ms);
+      }
+      ErrorCode code = ErrorCode::kOverloaded;
+      const char* refusal = nullptr;
+      uint64_t ServerStats::*counter = &ServerStats::overload_rejections;
+      if (Clock::now() >= pending.deadline) {
         // Expired on arrival (or while the body trickled in): answer
         // without ever running the engine.
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mu_);
-          ++stats_.deadline_expirations;
-        }
-        if (!RejectNow(conn, request_id, ErrorCode::kDeadlineExceeded,
-                       "deadline expired before execution")) {
-          break;
-        }
-        continue;
+        code = ErrorCode::kDeadlineExceeded;
+        refusal = "deadline expired before execution";
+        counter = &ServerStats::deadline_expirations;
+      } else if (draining_.load(std::memory_order_acquire)) {
+        code = ErrorCode::kShuttingDown;
+        refusal = "server is draining";
+        counter = &ServerStats::shutdown_rejections;
+      } else if (options_.max_pending > 0 &&
+                 global_pending_.load(std::memory_order_acquire) >=
+                     options_.max_pending) {
+        refusal = "server admission limit reached";
+      } else if (options_.max_inflight_per_conn > 0 &&
+                 conn->inflight.load(std::memory_order_acquire) >=
+                     options_.max_inflight_per_conn) {
+        refusal = "per-connection in-flight limit reached";
       }
-      if (draining_.load(std::memory_order_acquire)) {
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mu_);
-          ++stats_.shutdown_rejections;
-        }
-        if (!RejectNow(conn, request_id, ErrorCode::kShuttingDown,
-                       "server is draining")) {
-          break;
-        }
-        continue;
-      }
-      if (options_.max_pending > 0 &&
-          global_pending_.load(std::memory_order_acquire) >=
-              options_.max_pending) {
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mu_);
-          ++stats_.overload_rejections;
-        }
-        if (!RejectNow(conn, request_id, ErrorCode::kOverloaded,
-                       "server admission limit reached")) {
-          break;
-        }
-        continue;
-      }
-      if (options_.max_inflight_per_conn > 0 &&
-          conn->inflight.load(std::memory_order_acquire) >=
-              options_.max_inflight_per_conn) {
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mu_);
-          ++stats_.overload_rejections;
-        }
-        if (!RejectNow(conn, request_id, ErrorCode::kOverloaded,
-                       "per-connection in-flight limit reached")) {
-          break;
-        }
+      if (refusal != nullptr) {
+        if (!RejectNow(conn.get(), request_id, code, refusal, counter)) break;
         continue;
       }
 
-      global_pending_.fetch_add(1, std::memory_order_acq_rel);
-      conn->inflight.fetch_add(1, std::memory_order_acq_rel);
-      Outgoing out;
-      out.type = MessageType::kResponse;
-      out.request_id = request_id;
-      out.has_deadline = has_deadline;
-      out.deadline = deadline;
-      out.future = engine_.Submit(std::move(request));
-      bool writer_gone = false;
+      const uint64_t seq = ++next_seq;
       {
         std::lock_guard<std::mutex> lock(conn->mu);
-        if (conn->writer_exited) {
-          writer_gone = true;
-        } else {
-          conn->queue.push_back(std::move(out));
-          conn->cv.notify_one();
-        }
+        if (conn->writer_exited) break;
+        // Counted under the lock, so an exiting writer releases exactly
+        // the admissions it saw pending.
+        global_pending_.fetch_add(1, std::memory_order_acq_rel);
+        conn->inflight.fetch_add(1, std::memory_order_acq_rel);
+        conn->pending.emplace(seq, pending);
+        // A new deadline may be earlier than the one the writer sleeps to.
+        if (has_deadline) conn->cv.notify_one();
       }
-      if (writer_gone) {
-        conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-        global_pending_.fetch_sub(1, std::memory_order_acq_rel);
-        break;
-      }
+      engine_.Submit(std::move(request), MakeCompletion(conn, seq, pending));
     } catch (const WireTooLarge& e) {
-      // Oversized frame: answer kTooLarge (after earlier responses drain),
-      // then close — resynchronizing with an unread multi-megabyte body is
-      // not worth trusting the peer's framing again.
-      QueueProtocolError(conn, request_id, ErrorCode::kTooLarge, e.what());
+      // Oversized frame: answer kTooLarge (after pending requests are
+      // answered), then close — resynchronizing with an unread
+      // multi-megabyte body is not worth trusting the peer's framing again.
+      QueueProtocolError(conn.get(), request_id, ErrorCode::kTooLarge,
+                         e.what());
       break;
     } catch (const WireError& e) {
-      // Malformed frame (or socket error): queue a final error frame and
-      // drop the connection once earlier responses have drained. The frame
-      // is best effort — if the socket itself died, the writer's send just
+      // Malformed frame (or socket error): owe a final error frame and drop
+      // the connection once pending requests are answered. The frame is
+      // best effort — if the socket itself died, the writer's send just
       // fails and the teardown path is the same.
-      QueueProtocolError(conn, request_id, ErrorCode::kProtocol, e.what());
+      QueueProtocolError(conn.get(), request_id, ErrorCode::kProtocol,
+                         e.what());
       break;
     }
   }
@@ -297,100 +315,64 @@ void Server::ReaderLoop(Connection* conn) {
   conn->cv.notify_all();
 }
 
-bool Server::DeliverResponse(Connection* conn, Outgoing& out) {
-  // Bounded wait: poll the stop flag so a hard Stop() never deadlocks on
-  // an engine future that will not resolve, and cut over to the deadline
-  // answer the moment the request's budget runs out (queue time counted —
-  // the budget was anchored when the frame header arrived).
-  bool expired = false;
-  for (;;) {
-    if (stopping_.load(std::memory_order_acquire)) return false;
-    std::chrono::milliseconds wait(50);
-    if (out.has_deadline) {
-      Clock::time_point now = Clock::now();
-      if (now >= out.deadline) {
-        expired = true;
-        break;
-      }
-      auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      out.deadline - now) +
-                  std::chrono::milliseconds(1);
-      wait = std::min(wait, left);
-    }
-    if (out.future.wait_for(wait) == std::future_status::ready) break;
-  }
-  WireWriter body;
-  MessageType type = MessageType::kResponse;
-  if (expired) {
-    type = MessageType::kError;
-    EncodeErrorBody(ErrorCode::kDeadlineExceeded,
-                    "deadline exceeded while queued or executing", body);
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.deadline_expirations;
-  } else {
-    try {
-      // The future resolves even while this connection's peer pipelines
-      // more frames — the reader keeps Submitting concurrently.
-      QueryResult result = out.future.get();
-      EncodeResult(result, body);
-    } catch (const std::exception& e) {
-      // Request-level failure (engine rejected the query): report it on
-      // this request id and keep the connection alive.
-      type = MessageType::kError;
-      body.Clear();
-      EncodeErrorBody(ErrorCode::kInvalidRequest, e.what(), body);
+Server::Clock::time_point Server::ExpireOverdueLocked(Connection* conn) {
+  Clock::time_point next = Clock::time_point::max();
+  const Clock::time_point now = Clock::now();
+  for (auto it = conn->pending.begin(); it != conn->pending.end();) {
+    const Pending& p = it->second;
+    if (p.deadline <= now) {
+      conn->queue.push_back(
+          Outgoing{ErrorFrame(p.request_id, ErrorCode::kDeadlineExceeded,
+                              "deadline exceeded while queued or executing"),
+                   &ServerStats::deadline_expirations});
+      it = conn->pending.erase(it);
+    } else {
+      next = std::min(next, p.deadline);
+      ++it;
     }
   }
-  if (!SendOnConn(conn, type, out.request_id, body)) return false;
-  std::lock_guard<std::mutex> stats_lock(stats_mu_);
-  if (type == MessageType::kResponse) {
-    ++stats_.requests_served;
-  } else if (!expired) {
-    ++stats_.request_errors;
-  }
-  return true;
+  return next;
 }
 
 void Server::WriterLoop(Connection* conn) {
-  bool close = false;
-  while (!close) {
-    Outgoing out;
-    {
-      std::unique_lock<std::mutex> lock(conn->mu);
-      conn->cv.wait(lock, [conn] {
-        return !conn->queue.empty() || conn->reader_done;
-      });
-      if (conn->queue.empty()) break;  // reader done and nothing pending
-      out = std::move(conn->queue.front());
+  std::unique_lock<std::mutex> lock(conn->mu);
+  while (!stopping_.load(std::memory_order_acquire)) {
+    if (!conn->queue.empty()) {
+      Outgoing out = std::move(conn->queue.front());
       conn->queue.pop_front();
-    }
-    close = out.close_after;
-    if (out.type == MessageType::kResponse) {
-      bool sent = DeliverResponse(conn, out);
-      conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-      global_pending_.fetch_sub(1, std::memory_order_acq_rel);
+      lock.unlock();
+      const bool sent = Deliver(conn, out);
+      lock.lock();
       if (!sent) break;
+      continue;
+    }
+    const Clock::time_point next = ExpireOverdueLocked(conn);
+    if (!conn->queue.empty()) continue;
+    if (conn->reader_done && conn->pending.empty()) {
+      if (!conn->final_error.empty()) {
+        const std::vector<uint8_t> frame = std::move(conn->final_error);
+        lock.unlock();
+        WriteOnConn(conn, frame);
+        lock.lock();
+      }
+      break;
+    }
+    if (next == Clock::time_point::max()) {
+      conn->cv.wait(lock);
     } else {
-      WireWriter body;
-      EncodeErrorBody(out.code, out.error, body);
-      if (!SendOnConn(conn, MessageType::kError, out.request_id, body)) break;
+      conn->cv.wait_until(lock, next);
     }
   }
-  // Account for anything still queued (and stop the reader from queueing
-  // more) so Drain's pending gauge cannot leak entries this writer will
-  // never send.
-  std::deque<Outgoing> leftovers;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->writer_exited = true;
-    leftovers.swap(conn->queue);
-  }
-  for (const Outgoing& left : leftovers) {
-    if (left.type == MessageType::kResponse) {
-      conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-      global_pending_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  }
+  // Release the admissions of everything this writer will never answer
+  // (and stop the reader from admitting more), so Drain's gauge cannot
+  // leak; late completions find nothing pending and drop their frames.
+  conn->writer_exited = true;
+  const size_t dropped = conn->queue.size() + conn->pending.size();
+  conn->queue.clear();
+  conn->pending.clear();
+  lock.unlock();
+  conn->inflight.fetch_sub(dropped, std::memory_order_acq_rel);
+  global_pending_.fetch_sub(dropped, std::memory_order_acq_rel);
   // Unblock the reader if it is still parked in recv, then let the accept
   // loop (or Stop) reap both threads.
   conn->sock.ShutdownBoth();

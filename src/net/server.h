@@ -1,56 +1,54 @@
 // pverify_serve's multi-client TCP server.
 //
-// Serving model: thread-per-connection (one reader + one writer thread per
-// accepted socket) behind a hard connection cap — NOT epoll. The trade was
-// deliberate: a pverify query costs milliseconds of CPU in the engine, so
-// the scalability bottleneck is the worker pool, not socket readiness —
-// every connection's requests are funneled through Engine::Submit, where
-// the SubmitQueue coalesces traffic from all connections into shared pool
-// batches (and an optional CachingEngine wrapper memoizes across
-// connections). Blocking reads keep the decode path a straight line with
-// strict frame sequencing per connection, and the cap bounds the thread
-// count (2 × max_connections) so thread-per-connection stays cheap: at the
-// point where thousands of concurrent sockets would demand epoll, the
-// engine would be saturated long before the kernel is.
+// Thread model: one reader and one writer thread per accepted socket behind
+// a hard connection cap — NOT epoll. A pverify query costs milliseconds of
+// CPU, so the bottleneck is the worker pool, not socket readiness: every
+// request goes through Engine::Submit, where the SubmitQueue coalesces all
+// connections' traffic into shared pool batches (and an optional
+// CachingEngine memoizes across connections). Blocking reads keep the
+// decode path a straight line, and the cap bounds the thread count
+// (2 × max_connections).
 //
-// Per connection: the reader thread decodes frames into typed
-// QueryRequests and Submits them (so responses to one connection's
-// pipelined requests materialize through the engine's coalescer), handing
-// each pending future to the writer thread, which streams response frames
-// back tagged with the client's request ids. The protocol permits
-// out-of-order responses (ids are the correlation tags); this
-// implementation drains each connection's futures FIFO, which is
-// near-optimal because coalesced batches complete together.
+// Responses go out in COMPLETION order, tagged with the client's request
+// ids. The reader decodes and admits a frame, then Submits it with a
+// completion that encodes the response frame. A completion running on the
+// reader thread — a cache hit answered inside Submit — sends its frame at
+// once under the connection's write lock, so a hit never waits on another
+// thread. Any other completion appends its frame to the connection's
+// queue, so a fast request overtakes a slower one submitted before it. The
+// writer is a byte pump: it writes queued frames and sleeps until the next
+// one or the earliest pending deadline, never on an engine future.
+// Completions hold shared ownership of their connection: one that fires
+// after a disconnect or Stop() finds its request no longer pending and
+// drops its frame, and off the reader thread a completion never touches
+// the server itself.
 //
 // Overload and failure discipline:
 //  * backpressure — a per-connection in-flight cap and a global admission
-//    limit on queued-but-unstarted requests. Requests over either cap are
-//    answered kOverloaded *immediately by the reader thread* (out of order,
-//    which the protocol permits) so a client pipelining into a stalled
-//    writer still hears the rejection and can back off; the connection
-//    survives. Because rejected requests never enter the writer queue, the
-//    in-flight cap is also the bound on the per-connection write backlog.
-//  * deadlines — a v2 client can stamp deadline_ms on each request. The
-//    budget is anchored when the frame header arrives and checked twice:
-//    at decode (an already-expired request is answered kDeadlineExceeded
-//    without ever touching the engine) and again at dequeue in the writer
-//    (queue time counts; the writer abandons the future and answers
-//    kDeadlineExceeded when the budget ran out while the engine worked).
-//  * slow readers — response sends run under options.write_timeout_ms
-//    (SO_SNDTIMEO) with an optionally shrunk kernel send buffer. A peer
-//    that stops draining its socket stalls a send past the timeout and is
-//    disconnected (slow_reader_disconnects counts them); other
+//    limit on admitted-but-unanswered requests. Requests over either cap
+//    are answered kOverloaded immediately by the reader, so a client
+//    pipelining into a stalled engine still hears it and can back off; the
+//    connection survives. The in-flight cap also bounds the write queue.
+//  * deadlines — a request may carry deadline_ms, anchored when its frame
+//    header arrives and checked at decode (an expired request never
+//    reaches the engine), at completion, and by the writer, which wakes at
+//    the earliest pending deadline and answers kDeadlineExceeded for every
+//    request still unfinished; the late completion then sends nothing.
+//  * slow readers — sends run under options.write_timeout_ms (SO_SNDTIMEO)
+//    with an optionally shrunk kernel send buffer; a peer that stops
+//    draining its socket is disconnected (slow_reader_disconnects), other
 //    connections are unaffected.
 //  * graceful drain — Drain(deadline) stops accepting, answers new
-//    requests kShuttingDown, and waits for in-flight ones to finish within
-//    the deadline. pverify_serve calls it on SIGTERM.
+//    requests kShuttingDown and waits for admitted ones to be answered.
+//    pverify_serve calls it on SIGTERM.
 //  * protocol errors (bad magic/version, checksum mismatch, oversized
-//    length, unknown kind, truncated body) → best-effort typed kError
-//    frame (kTooLarge for cap violations, else kProtocol), then the
-//    connection is closed. The server itself always stays up.
+//    length, unknown kind, truncated body) → a typed kError frame
+//    (kTooLarge for cap violations, else kProtocol) once the connection's
+//    pending requests are answered, then the connection closes. The server
+//    itself always stays up.
 //  * request-level failures (engine exceptions, e.g. a 2-D query against a
-//    1-D-only engine) → kError/kInvalidRequest tagged with the request id;
-//    the connection stays open.
+//    1-D-only engine) → kError/kInvalidRequest on that request id; the
+//    connection stays open.
 #ifndef PVERIFY_NET_SERVER_H_
 #define PVERIFY_NET_SERVER_H_
 
@@ -59,12 +57,14 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <exception>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <vector>
 
 #include "engine/engine.h"
 #include "net/frame.h"
@@ -86,7 +86,7 @@ struct ServerOptions {
   int listen_backlog = 64;
   /// Requests one connection may have submitted-but-unanswered before the
   /// reader answers kOverloaded instead of Submitting. Also bounds the
-  /// writer queue. 0 = unlimited.
+  /// write queue. 0 = unlimited.
   size_t max_inflight_per_conn = 128;
   /// Global admission limit across all connections on
   /// submitted-but-unanswered requests; over it the reader answers
@@ -135,8 +135,8 @@ class Server {
   bool Drain(uint32_t deadline_ms);
 
   /// Hard stop: shuts every socket down and joins every thread. Responses
-  /// still in flight are dropped (writers waiting on engine futures give
-  /// up promptly, even if the engine never resolves them). Idempotent.
+  /// still in flight are dropped (their completions, if the engine ever
+  /// runs them, find nothing pending). Idempotent.
   void Stop();
 
   /// The bound port (valid after Start(); the ephemeral port when
@@ -149,15 +149,19 @@ class Server {
   ServerStats stats() const;
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  /// One encoded answer to an admitted request, ready to write.
   struct Outgoing {
-    MessageType type = MessageType::kResponse;
+    std::vector<uint8_t> frame;  ///< header ‖ body ‖ CRC trailer
+    /// What the answer counts as: served, request error or expiry.
+    uint64_t ServerStats::*counter = &ServerStats::requests_served;
+  };
+
+  /// An admitted request the engine has not completed yet.
+  struct Pending {
     uint64_t request_id = 0;
-    std::future<QueryResult> future;  ///< engaged for kResponse entries
-    ErrorCode code = ErrorCode::kGeneric;  ///< for kError entries
-    std::string error;                ///< message for kError entries
-    bool close_after = false;         ///< protocol error: drop the connection
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline{};
+    Clock::time_point deadline = Clock::time_point::max();  ///< max: none
   };
 
   struct Connection {
@@ -166,41 +170,59 @@ class Server {
     std::thread writer;
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<Outgoing> queue;
+    // Guarded by mu:
+    std::deque<Outgoing> queue;  ///< completed answers, in completion order
+    /// Admitted, unanswered requests by admission sequence number; the
+    /// first of completion, deadline sweep and teardown to erase an entry
+    /// owns its answer.
+    std::unordered_map<uint64_t, Pending> pending;
+    /// Protocol-error frame (empty when none) owed once every pending
+    /// request is answered; the connection closes after it.
+    std::vector<uint8_t> final_error;
     bool reader_done = false;
-    bool writer_exited = false;  ///< guarded by mu; reader stops queueing
+    bool writer_exited = false;  ///< the reader stops admitting
     std::atomic<bool> finished{false};  ///< writer exited; reapable
-    /// Submitted-but-unanswered requests on this connection.
+    /// Admitted requests whose answer is not yet written.
     std::atomic<size_t> inflight{0};
-    /// Serializes reader-side immediate error frames against writer-side
-    /// response frames on the one socket.
+    /// Serializes the reader's and the writer's frames on the one socket.
     std::mutex write_mu;
   };
 
   void AcceptLoop();
-  void ReaderLoop(Connection* conn);
+  void ReaderLoop(const std::shared_ptr<Connection>& conn);
   void WriterLoop(Connection* conn);
-  /// Sends one frame under the connection's write lock. Returns false when
-  /// the send failed (timeout counts a slow reader) — the connection is
-  /// already shut down then.
-  bool SendOnConn(Connection* conn, MessageType type, uint64_t request_id,
-                  const WireWriter& body);
+  /// The completion Submit gets for admission `seq`: encodes the answer,
+  /// then sends it when running on the reader thread (inside Submit) or
+  /// queues it for the writer. Off the reader thread it touches only the
+  /// connection, never the server.
+  Completion MakeCompletion(std::shared_ptr<Connection> conn, uint64_t seq,
+                            const Pending& pending);
+  /// Answers every pending request whose deadline has passed (queued for
+  /// the writer) and returns the earliest deadline still ahead (max when
+  /// none). Requires conn->mu.
+  static Clock::time_point ExpireOverdueLocked(Connection* conn);
+  /// Writes one encoded frame under the connection's write lock. Returns
+  /// false when the send failed (timeout counts a slow reader) — the
+  /// connection is already shut down then.
+  bool WriteOnConn(Connection* conn, const std::vector<uint8_t>& frame);
+  /// Writes the answer to an admitted request, counts it and releases its
+  /// admission. Returns false when the connection must close.
+  bool Deliver(Connection* conn, const Outgoing& out);
   /// Reader-side immediate rejection (kOverloaded / kDeadlineExceeded /
-  /// kShuttingDown): bypasses the writer queue so backpressure answers
-  /// cannot sit behind blocked futures.
+  /// kShuttingDown) of a request that was never admitted; bumps `counter`
+  /// before the write.
   bool RejectNow(Connection* conn, uint64_t request_id, ErrorCode code,
-                 const std::string& message);
-  /// Queues the final typed error frame for a malformed frame; the writer
-  /// sends it after earlier responses drain, then closes.
+                 const std::string& message, uint64_t ServerStats::*counter);
+  void Count(uint64_t ServerStats::*counter);
+  /// Records the final typed error frame for a malformed frame; the writer
+  /// sends it after the connection's pending requests are answered, then
+  /// closes.
   void QueueProtocolError(Connection* conn, uint64_t request_id,
                           ErrorCode code, const std::string& message);
-  /// Finishes one popped kResponse entry: waits for the future (bounded by
-  /// the deadline and the stop flag), encodes the response or a typed
-  /// error, sends it. Returns false when the connection must close.
-  bool DeliverResponse(Connection* conn, Outgoing& out);
   /// Joins and erases connections whose writer has exited. Called from the
   /// accept loop so a long-lived server does not accumulate dead threads.
   void ReapFinishedLocked();
+  static void JoinAndClose(Connection& conn);
 
   Engine& engine_;
   ServerOptions options_;
@@ -215,7 +237,8 @@ class Server {
   std::atomic<size_t> global_pending_{0};
 
   std::mutex conns_mu_;
-  std::list<std::unique_ptr<Connection>> conns_;
+  /// Shared with the completions of the connections' pending requests.
+  std::list<std::shared_ptr<Connection>> conns_;
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;

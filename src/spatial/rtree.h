@@ -271,6 +271,7 @@ class RTree {
       return node->leaf ? node->entries[i].mbr : node->children[i]->mbr;
     };
     const size_t n = node->Fanout();
+    PV_CHECK(n >= 2);  // only overfull nodes split
 
     // Pick the pair of seeds wasting the most volume.
     size_t seed_a = 0, seed_b = 1;

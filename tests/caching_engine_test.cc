@@ -7,6 +7,7 @@
 #include "engine/caching_engine.h"
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <thread>
@@ -397,7 +398,57 @@ TEST(CachingEngineTest, OwningFactoryAndSubmitFailureIsolation) {
   EXPECT_TRUE(again.stats.served_from_cache);
   testutil::ExpectEquivalentResult(first, again, /*max_ulps=*/0,
                                    "submit after failure");
-  EXPECT_GE(cached->SubmitStats().requests, 3u);
+  // Only the two misses reached the backend's queue; the hit never did.
+  EXPECT_EQ(cached->SubmitStats().requests, 2u);
+}
+
+// Submit's accounting and the inline hit path: over a stream of misses,
+// hits, same-cell rechecks and candidate bypasses every Submit counts
+// exactly one outcome, and a hit's future is ready the moment Submit
+// returns, without the backend's queue ever seeing the request.
+TEST(CachingEngineTest, SubmitCountsOneOutcomeAndAnswersHitsInline) {
+  Dataset data = TestDataset();
+  QueryEngine backend(data, EngineOptions{2});
+  CachingEngineOptions copt;
+  copt.point_quantum = 1.0;  // q and q + 0.25 share a slot: a recheck
+  CachingEngine cached(backend, copt);
+  const QueryOptions opt = OptionsFor(Strategy::kVR);
+  const std::vector<double> points = {10.0, 60.0, 110.0, 160.0};
+  size_t submits = 0;
+
+  for (double q : points) {  // cold: misses
+    cached.Submit(PointQuery{q, opt}).get();
+    ++submits;
+  }
+  const size_t backend_requests = backend.SubmitStats().requests;
+  for (double q : points) {  // warm: hits, answered inline
+    std::future<QueryResult> hit = cached.Submit(PointQuery{q, opt});
+    ++submits;
+    ASSERT_EQ(hit.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_TRUE(hit.get().stats.served_from_cache);
+  }
+  EXPECT_EQ(backend.SubmitStats().requests, backend_requests);
+  for (double q : points) {  // same cell, different exact point: rechecks
+    cached.Submit(PointQuery{q + 0.25, opt}).get();
+    ++submits;
+  }
+  FilterResult filtered = backend.executor().Filter(points[0]);
+  cached
+      .Submit(CandidatesQuery(
+          CandidateSet::Build1D(data, filtered.candidates, points[0]), opt))
+      .get();
+  ++submits;
+
+  const CacheStats stats = cached.GetCacheStats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.rechecks + stats.bypasses,
+            submits);
+  EXPECT_EQ(stats.misses, points.size());
+  EXPECT_EQ(stats.hits, points.size());
+  EXPECT_EQ(stats.rechecks, points.size());
+  EXPECT_EQ(stats.bypasses, 1u);
+  EXPECT_EQ(backend.SubmitStats().requests,
+            backend_requests + points.size() + 1);
 }
 
 // The TSan stress test (CI re-runs this file under ThreadSanitizer):
@@ -461,10 +512,12 @@ TEST(CachingEngineTest, ConcurrentSubmitStressOnSharedCache) {
               std::to_string(i));
     }
   }
-  // The skewed stream found the cache at least sometimes.
+  // Every Submit and every batch lookup counted exactly one outcome, and
+  // only misses and rechecks reached the backend's queue.
   CacheStats stats = cached.GetCacheStats();
-  EXPECT_GT(stats.hits + stats.misses + stats.rechecks, 0u);
-  EXPECT_EQ(cached.SubmitStats().requests, kThreads * kPerThread);
+  EXPECT_EQ(stats.hits + stats.misses + stats.rechecks + stats.bypasses,
+            kThreads * kPerThread + 3 * points.size());
+  EXPECT_LE(cached.SubmitStats().requests, kThreads * kPerThread);
 }
 
 }  // namespace

@@ -143,7 +143,7 @@ TEST(Knn2DTest, ShardedKnn2DBitIdenticalAcrossShardCountsAndPolicies) {
         datagen::MakeQueryPoints2D(6, 0.0, domain, /*seed=*/7);
 
     for (size_t shards : {1u, 2u, 4u}) {
-      for (const std::string& policy : {"hash", "range"}) {
+      for (const char* policy : {"hash", "range"}) {
         ShardedEngineOptions sopt;
         sopt.num_shards = shards;
         sopt.policy = MakePolicy2D(policy, data);
@@ -160,7 +160,8 @@ TEST(Knn2DTest, ShardedKnn2DBitIdenticalAcrossShardCountsAndPolicies) {
                 points[i], k, opt.params, opt.integration);
             ExpectIdenticalKnn(
                 expected, results[i],
-                (clustered ? "clustered " : "uniform ") + policy + " shards " +
+                std::string(clustered ? "clustered " : "uniform ") + policy +
+                    " shards " +
                     std::to_string(shards) + " k " + std::to_string(k) +
                     " query " + std::to_string(i));
           }

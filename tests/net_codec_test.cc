@@ -9,9 +9,13 @@
 #include <string>
 #include <vector>
 
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
 
 #include "net/codec.h"
+#include "net/frame.h"
+#include "net/socket.h"
 #include "net/wire.h"
 
 namespace pverify {
@@ -454,6 +458,44 @@ TEST(NetExtensionsTest, OverrunningExtensionBlockIsRejected) {
   w.U32(5);   // ... but only 4 follow
   WireReader r(w.bytes().data(), w.size());
   EXPECT_THROW(DecodeRequestExtensions(r), WireError);
+}
+
+// A frame goes out as one write whose bytes are exactly
+// header ‖ body ‖ CRC-32(header ‖ body), little-endian, and ReceiveFrame
+// (header read, then body and trailer in one read) takes it back apart.
+TEST(NetFrameTest, SendFrameOnEmitsHeaderBodyAndChecksum) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Socket sender(fds[0]);
+  Socket receiver(fds[1]);
+
+  WireWriter body;
+  EncodeErrorBody(ErrorCode::kOverloaded, "frame bytes", body);
+  SendFrameOn(sender, MessageType::kError, /*request_id=*/0x0102030405ull,
+              body);
+
+  std::vector<uint8_t> expected(kFrameHeaderBytes);
+  EncodeFrameHeader(MessageType::kError, 0x0102030405ull,
+                    static_cast<uint32_t>(body.size()), expected.data());
+  expected.insert(expected.end(), body.bytes().begin(), body.bytes().end());
+  const uint32_t crc = Crc32(expected.data(), expected.size());
+  for (size_t i = 0; i < kFrameChecksumBytes; ++i) {
+    expected.push_back(static_cast<uint8_t>(crc >> (8 * i)));
+  }
+  std::vector<uint8_t> wire(expected.size());
+  ASSERT_TRUE(receiver.ReadExact(wire.data(), wire.size()));
+  EXPECT_EQ(wire, expected);
+  EXPECT_EQ(EncodeFrame(MessageType::kError, 0x0102030405ull, body),
+            expected);
+
+  SendFrameOn(sender, MessageType::kError, 9, body);
+  ReceivedFrame frame;
+  ASSERT_TRUE(ReceiveFrame(receiver, kDefaultMaxBodyBytes, &frame));
+  EXPECT_EQ(frame.header.type, MessageType::kError);
+  EXPECT_EQ(frame.header.request_id, 9u);
+  EXPECT_EQ(frame.body, body.bytes());
+  sender.Close();
+  EXPECT_FALSE(ReceiveFrame(receiver, kDefaultMaxBodyBytes, &frame));
 }
 
 TEST(NetErrorBodyTest, TypedCodeRoundTrips) {

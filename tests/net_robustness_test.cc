@@ -1,18 +1,20 @@
-// Overload, deadline and shutdown behavior of the serving path, pinned at
-// the wire level: the in-flight and admission caps answer kOverloaded
-// without dropping the connection, deadlines fire both before submission
-// and at writer dequeue, slow readers are disconnected within the write
-// timeout while other connections keep serving, Stop() wins races against
-// in-flight Submit futures (even ones that never resolve), and Drain()
-// finishes in-flight work while rejecting new requests as kShuttingDown.
+// Overload, deadline, ordering and shutdown behavior of the serving path,
+// pinned at the wire level: the in-flight and admission caps answer
+// kOverloaded without dropping the connection, deadlines fire both before
+// submission and in the writer's sweep (a late completion then sends
+// nothing), responses go out in completion order, slow readers are
+// disconnected within the write timeout while other connections keep
+// serving, Stop() wins races against in-flight requests (even ones that
+// never complete), completions outliving their connection or the server
+// are dropped safely, and Drain() finishes in-flight work while rejecting
+// new requests as kShuttingDown.
 //
 // Most tests use ManualEngine — an Engine whose Submit() parks requests
-// until the test resolves them — so "the future is still pending" is a
+// until the test resolves them — so "the request is still running" is a
 // controlled state instead of a timing accident.
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,9 +53,10 @@ QueryRequest MakePoint(double q) {
 }
 
 /// An Engine whose async path answers only when the test says so: Submit()
-/// parks the request, ResolveAll() executes the backlog through a real
-/// QueryEngine and fulfills the promises. This makes server states like
-/// "N requests in flight" and "future never resolves" deterministic.
+/// parks the request, ResolveAll()/ResolveNewest() execute parked requests
+/// through a real QueryEngine and run their completions. This makes server
+/// states like "N requests in flight", "the later request finishes first"
+/// and "the request never completes" deterministic.
 class ManualEngine : public Engine {
  public:
   explicit ManualEngine(Dataset data)
@@ -70,10 +73,10 @@ class ManualEngine : public Engine {
     return inner_.ExecuteBatch(std::move(requests), stats);
   }
 
-  std::future<QueryResult> Submit(QueryRequest request) override {
+  using Engine::Submit;
+  void Submit(QueryRequest request, Completion done) override {
     std::lock_guard<std::mutex> lock(mu_);
-    pending_.push_back(PendingQuery{std::move(request), {}});
-    return pending_.back().promise.get_future();
+    pending_.push_back(PendingQuery{std::move(request), std::move(done)});
   }
 
   size_t PendingCount() {
@@ -81,19 +84,26 @@ class ManualEngine : public Engine {
     return pending_.size();
   }
 
+  /// Completes every parked request, oldest first.
   void ResolveAll() {
-    std::list<PendingQuery> taken;
+    std::vector<PendingQuery> taken;
     {
       std::lock_guard<std::mutex> lock(mu_);
       taken.swap(pending_);
     }
-    for (PendingQuery& p : taken) {
-      try {
-        p.promise.set_value(inner_.Execute(std::move(p.request)));
-      } catch (...) {
-        p.promise.set_exception(std::current_exception());
-      }
+    for (PendingQuery& p : taken) Resolve(p);
+  }
+
+  /// Completes only the most recently parked request.
+  void ResolveNewest() {
+    PendingQuery newest;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ASSERT_FALSE(pending_.empty());
+      newest = std::move(pending_.back());
+      pending_.pop_back();
     }
+    Resolve(newest);
   }
 
   SubmitQueueStats SubmitStats() const override { return {}; }
@@ -101,9 +111,14 @@ class ManualEngine : public Engine {
   size_t ScratchBytes() const override { return 0; }
 
  private:
+  void Resolve(PendingQuery& p) {
+    p.CompleteWith(
+        [this](QueryRequest&& r) { return inner_.Execute(std::move(r)); });
+  }
+
   QueryEngine inner_;
   std::mutex mu_;
-  std::list<PendingQuery> pending_;  ///< list: stable promise addresses
+  std::vector<PendingQuery> pending_;
 };
 
 /// Polls `cond` until true or ~5 s passed.
@@ -204,6 +219,82 @@ TEST(NetRobustnessTest, DeadlineExpiresWhileQueuedBehindStalledEngine) {
   engine.ResolveAll();
   EXPECT_TRUE(client.Await(id2).ok);
   server.Stop();
+}
+
+// Responses go out in completion order: of two requests pipelined on one
+// connection, the one the engine finishes first is answered first.
+TEST(NetRobustnessTest, FastRequestOvertakesSlowOneOnTheSameConnection) {
+  ManualEngine engine(TestDataset());
+  net::Server server(engine);
+  server.Start();
+
+  net::Client client = net::Client::Connect(kLoopback, server.port());
+  const uint64_t slow = client.Send(MakePoint(100.0));
+  const uint64_t fast = client.Send(MakePoint(200.0));
+  ASSERT_TRUE(WaitFor([&] { return engine.PendingCount() == 2; }));
+
+  engine.ResolveNewest();  // B completes while A is still running
+  net::ServeResponse first = client.ReadNext();
+  EXPECT_EQ(first.request_id, fast);
+  EXPECT_TRUE(first.ok);
+
+  engine.ResolveAll();
+  net::ServeResponse second = client.ReadNext();
+  EXPECT_EQ(second.request_id, slow);
+  EXPECT_TRUE(second.ok);
+  server.Stop();
+}
+
+// The writer's deadline sweep answers a request the engine has not
+// finished; when the engine finishes it later, no second frame goes out
+// and the connection keeps serving.
+TEST(NetRobustnessTest, DeadlineSweepAnswersOnceAndDropsTheLateCompletion) {
+  ManualEngine engine(TestDataset());
+  net::Server server(engine);
+  server.Start();
+
+  net::Client client = net::Client::Connect(kLoopback, server.port());
+  const uint64_t late = client.Send(MakePoint(100.0), /*deadline_ms=*/60);
+  net::ServeResponse expired = client.ReadNext();
+  EXPECT_EQ(expired.request_id, late);
+  EXPECT_FALSE(expired.ok);
+  EXPECT_EQ(expired.code, net::ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(engine.PendingCount(), 1u);  // still running in the engine
+
+  const uint64_t next = client.Send(MakePoint(200.0));
+  ASSERT_TRUE(WaitFor([&] { return engine.PendingCount() == 2; }));
+  engine.ResolveAll();  // the late completion runs first, then `next`'s
+  net::ServeResponse answered = client.ReadNext();
+  EXPECT_EQ(answered.request_id, next);
+  EXPECT_TRUE(answered.ok);
+  EXPECT_EQ(server.stats().deadline_expirations, 1u);
+  server.Stop();
+}
+
+// Completions own their connection: ones the engine runs after a client
+// disconnected, or after the server stopped and was destroyed, find nothing
+// pending and touch no freed memory (the ASan and TSan jobs run this).
+TEST(NetRobustnessTest, CompletionsAfterDisconnectAndStopAreDropped) {
+  ManualEngine engine(TestDataset());
+  auto server = std::make_unique<net::Server>(engine);
+  server->Start();
+
+  {
+    net::Client gone = net::Client::Connect(kLoopback, server->port());
+    for (int i = 0; i < 3; ++i) gone.Send(MakePoint(100.0 * (i + 1)));
+    ASSERT_TRUE(WaitFor([&] { return engine.PendingCount() == 3; }));
+  }  // disconnects with three requests in the engine
+  net::Client stays = net::Client::Connect(kLoopback, server->port());
+  const uint64_t id = stays.Send(MakePoint(400.0));
+  ASSERT_TRUE(WaitFor([&] { return engine.PendingCount() == 4; }));
+  engine.ResolveAll();
+  EXPECT_TRUE(stays.Await(id).ok);
+
+  for (int i = 0; i < 3; ++i) stays.Send(MakePoint(100.0 * (i + 1)));
+  ASSERT_TRUE(WaitFor([&] { return engine.PendingCount() == 3; }));
+  server->Stop();
+  server.reset();
+  engine.ResolveAll();  // the server is gone; its connection is not
 }
 
 TEST(NetRobustnessTest, ExpiredDeadlineNeverReachesTheEngine) {

@@ -81,15 +81,11 @@ class RemoteEngine : public Engine {
     return results;
   }
 
-  std::future<QueryResult> Submit(QueryRequest request) override {
-    std::promise<QueryResult> promise;
-    std::future<QueryResult> future = promise.get_future();
-    try {
-      promise.set_value(Execute(std::move(request)));
-    } catch (...) {
-      promise.set_exception(std::current_exception());
-    }
-    return future;
+  using Engine::Submit;
+  void Submit(QueryRequest request, Completion done) override {
+    PendingQuery pending{std::move(request), std::move(done)};
+    pending.CompleteWith(
+        [this](QueryRequest&& r) { return Execute(std::move(r)); });
   }
 
   SubmitQueueStats SubmitStats() const override { return {}; }

@@ -362,7 +362,7 @@ TEST(ShardedEngineTest, DegenerateShapesMatchUnsharded) {
 
 TEST(ShardedEngineTest, PartitionDisjointCoverAndPolicyDeterminism) {
   Dataset data = datagen::MakeUniformScatter(200, 100.0, 1.5, /*seed=*/14);
-  for (const std::string& name : {"hash", "range"}) {
+  for (const char* name : {"hash", "range"}) {
     std::shared_ptr<const ShardingPolicy> policy = MakePolicy(name, data);
     std::vector<Dataset> shards = PartitionDataset(data, 4, *policy);
     ASSERT_EQ(shards.size(), 4u);

@@ -1,9 +1,11 @@
 // Unit tests for the async submission queue: coalescing (deterministic via
 // a gated runner), FIFO dispatch, drain-on-destruction and runner-failure
-// promise hygiene.
+// completion hygiene.
 #include "engine/submit_queue.h"
 
 #include <condition_variable>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -25,6 +27,26 @@ double PointOf(const QueryRequest& request) {
   return std::get<PointQuery>(request.query).q;
 }
 
+QueryResult EchoPoint(QueryRequest&& request) {
+  return ResultWithId(static_cast<ObjectId>(PointOf(request)));
+}
+
+QueryRequest At(double q) { return PointQuery{q, QueryOptions{}}; }
+
+// Submits through the queue and returns a future for the outcome.
+std::future<QueryResult> SubmitFuture(SubmitQueue& queue, double q) {
+  auto promise = std::make_shared<std::promise<QueryResult>>();
+  std::future<QueryResult> future = promise->get_future();
+  queue.Submit(At(q), [promise](QueryResult result, std::exception_ptr error) {
+    if (error != nullptr) {
+      promise->set_exception(error);
+    } else {
+      promise->set_value(std::move(result));
+    }
+  });
+  return future;
+}
+
 // A runner the test can block: while the gate is closed the dispatcher sits
 // inside the runner, so everything submitted meanwhile must coalesce into
 // the next batch.
@@ -40,8 +62,7 @@ class GatedRunner {
     }
     for (PendingQuery& item : batch) {
       // Echo the request's query point back as an id to check FIFO order.
-      item.promise.set_value(ResultWithId(
-          static_cast<ObjectId>(PointOf(item.request))));
+      item.CompleteWith(EchoPoint);
     }
   }
 
@@ -78,12 +99,12 @@ TEST(SubmitQueueTest, CoalescesEverythingSubmittedDuringAnInFlightBatch) {
     runner(batch);
   });
 
-  std::future<QueryResult> first = queue.Submit(PointQuery{0.0});
+  std::future<QueryResult> first = SubmitFuture(queue, 0.0);
   runner.WaitUntilEntered(1);  // dispatcher is now stuck inside batch #1
 
   std::vector<std::future<QueryResult>> rest;
   for (int i = 1; i <= 10; ++i) {
-    rest.push_back(queue.Submit(PointQuery{static_cast<double>(i)}));
+    rest.push_back(SubmitFuture(queue, static_cast<double>(i)));
   }
   runner.Open();
 
@@ -107,13 +128,10 @@ TEST(SubmitQueueTest, DestructorDrainsQueuedRequests) {
   std::vector<std::future<QueryResult>> futures;
   {
     SubmitQueue queue([](std::vector<PendingQuery>& batch) {
-      for (PendingQuery& item : batch) {
-        item.promise.set_value(
-            ResultWithId(static_cast<ObjectId>(PointOf(item.request))));
-      }
+      for (PendingQuery& item : batch) item.CompleteWith(EchoPoint);
     });
     for (int i = 0; i < 64; ++i) {
-      futures.push_back(queue.Submit(PointQuery{static_cast<double>(i)}));
+      futures.push_back(SubmitFuture(queue, static_cast<double>(i)));
     }
   }  // destructor must resolve every future before returning
   for (int i = 0; i < 64; ++i) {
@@ -121,24 +139,27 @@ TEST(SubmitQueueTest, DestructorDrainsQueuedRequests) {
   }
 }
 
-TEST(SubmitQueueTest, ThrowingRunnerFailsPromisesInsteadOfBreakingThem) {
-  SubmitQueue queue([](std::vector<PendingQuery>& batch) {
-    // Fulfill the first entry, then die: the queue must fail the rest.
-    batch.front().promise.set_value(ResultWithId(7));
+TEST(SubmitQueueTest, ThrowingRunnerFailsQueriesInsteadOfDroppingThem) {
+  const auto seven = [](QueryRequest&&) { return ResultWithId(7); };
+  SubmitQueue queue([&](std::vector<PendingQuery>& batch) {
+    // Complete the first entry, then die: the queue must fail the rest.
+    batch.front().CompleteWith(seven);
     throw std::runtime_error("runner died");
   });
-  std::future<QueryResult> ok = queue.Submit(PointQuery{0.0});
+  std::future<QueryResult> ok = SubmitFuture(queue, 0.0);
   EXPECT_EQ(ok.get().ids, std::vector<ObjectId>{7});
 
   // A batch with several entries: entry 0 resolves, the rest get the error.
-  SubmitQueue multi([](std::vector<PendingQuery>& batch) {
-    batch.front().promise.set_value(ResultWithId(1));
+  const auto one = [](QueryRequest&&) { return ResultWithId(1); };
+  SubmitQueue multi([&](std::vector<PendingQuery>& batch) {
+    batch.front().CompleteWith(one);
     if (batch.size() > 1) throw std::runtime_error("partial failure");
   });
   // Submit two back to back; whether they land in one batch or two, every
-  // future must resolve (value or exception), never broken_promise.
-  std::future<QueryResult> a = multi.Submit(PointQuery{0.0});
-  std::future<QueryResult> b = multi.Submit(PointQuery{1.0});
+  // query must complete exactly once (value or exception) — a second
+  // completion would throw promise_already_satisfied.
+  std::future<QueryResult> a = SubmitFuture(multi, 0.0);
+  std::future<QueryResult> b = SubmitFuture(multi, 1.0);
   for (std::future<QueryResult>* f : {&a, &b}) {
     try {
       QueryResult r = f->get();
@@ -151,10 +172,7 @@ TEST(SubmitQueueTest, ThrowingRunnerFailsPromisesInsteadOfBreakingThem) {
 
 TEST(SubmitQueueTest, ManyThreadsSubmitConcurrently) {
   SubmitQueue queue([](std::vector<PendingQuery>& batch) {
-    for (PendingQuery& item : batch) {
-      item.promise.set_value(
-          ResultWithId(static_cast<ObjectId>(PointOf(item.request))));
-    }
+    for (PendingQuery& item : batch) item.CompleteWith(EchoPoint);
   });
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;
@@ -163,8 +181,8 @@ TEST(SubmitQueueTest, ManyThreadsSubmitConcurrently) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        futures[t].push_back(queue.Submit(
-            PointQuery{static_cast<double>(t * kPerThread + i)}));
+        futures[t].push_back(
+            SubmitFuture(queue, static_cast<double>(t * kPerThread + i)));
       }
     });
   }
@@ -179,6 +197,17 @@ TEST(SubmitQueueTest, ManyThreadsSubmitConcurrently) {
   EXPECT_EQ(stats.requests, static_cast<size_t>(kThreads * kPerThread));
   EXPECT_GE(stats.batches, 1u);
   EXPECT_GE(stats.max_coalesced, 1u);
+}
+
+// The dispatcher thread starts with the first Submit, so a queue that is
+// never used costs no thread and reports zeros.
+TEST(SubmitQueueTest, UnusedQueueReportsZerosAndDestroysCleanly) {
+  SubmitQueue queue([](std::vector<PendingQuery>&) {
+    ADD_FAILURE() << "runner called without a submission";
+  });
+  const SubmitQueueStats stats = queue.GetStats();
+  EXPECT_EQ(stats.requests, 0u);
+  EXPECT_EQ(stats.batches, 0u);
 }
 
 }  // namespace

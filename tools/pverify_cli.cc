@@ -105,7 +105,14 @@ double ParseDouble(const char* s) {
   return v;
 }
 
+/// The engines' entry check, for the commands that call the executors
+/// directly: a non-finite point is an error, not an empty answer.
+void CheckQueryPoint(double q) {
+  CheckFiniteQueryPoint(PointQuery{q, QueryOptions{}});
+}
+
 int RunPnn(const Dataset& data, double q) {
+  CheckQueryPoint(q);
   CpnnExecutor exec(data);
   auto probs = exec.ComputePnn(q);
   std::printf("# %zu candidate(s) at q = %g\n", probs.size(), q);
@@ -117,6 +124,7 @@ int RunPnn(const Dataset& data, double q) {
 
 int RunCpnn(const Dataset& data, double q, double threshold,
             double tolerance) {
+  CheckQueryPoint(q);
   CpnnExecutor exec(data);
   QueryOptions opt;
   opt.params = {threshold, tolerance};
@@ -133,6 +141,7 @@ int RunCpnn(const Dataset& data, double q, double threshold,
 }
 
 int RunKnn(const Dataset& data, double q, int k, double threshold) {
+  CheckQueryPoint(q);
   CpnnExecutor exec(data);
   CknnAnswer ans = exec.ExecuteKnn(q, k, {threshold, 0.0});
   std::printf("# C-PkNN q=%g k=%d P=%g — %zu answer(s), %zu pruned by "
